@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import f2
-from .model import CohomologyModel, F2Class, ManifoldModel, ZClass
+from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass
 
 __all__ = [
     "WuClasses", "SWClasses", "CosetH8", "SpincData",
     "WuSolveError", "ModelInvariantError", "PreconditionError",
-    "solve_wu_degree", "wu_classes", "sw_classes", "integral_lift",
+    "solve_wu_degree", "wu_classes", "sw_from_wu", "sw_classes",
+    "nine_manifold_identities", "integral_lift",
     "random_integral_lift", "compute_dm", "annihilator_subspace",
     "sq2_image_subspace", "coset_reduce", "zero_coset",
     "half_product", "half_product_solutions", "sigma_w4", "spinc_data",
@@ -44,17 +45,18 @@ def _cohomology(m) -> CohomologyModel:
 
 @dataclass(frozen=True)
 class WuClasses:
-    """Wu classes; only v2 and v4 can be nonzero in the scope of this package."""
+    """Wu classes; only v2 and v4 can be nonzero in the scope of this package.
+    Degrees above the dimension read as zero classes."""
 
     by_degree: dict
 
     @property
     def v2(self) -> F2Class:
-        return self.by_degree[2]
+        return self.by_degree.get(2, F2Class(2, ()))
 
     @property
     def v4(self) -> F2Class:
-        return self.by_degree[4]
+        return self.by_degree.get(4, F2Class(4, ()))
 
 
 @dataclass(frozen=True)
@@ -115,20 +117,15 @@ class CosetH8:
 
 
 def solve_wu_degree(m: CohomologyModel, k: int) -> F2Class:
-    """The unique v_k with <v_k x, [M]> = <Sq^k x, [M]> for every x."""
+    """The unique v_k with <v_k x, [M]> = <Sq^k x, [M]> for every x: the
+    pairing of degrees (k, n - k) against the top row of Sq^k on degree n - k."""
     n = m.dimension
-    comp = n - k
-    xs = m.basis_f2(comp)
-    rhs = np.array([m.eval_top(m.sq_map(k, x)) if k <= comp else 0 for x in xs], dtype=np.uint8)
-    dim_k = m.f2_dim(k)
-    if dim_k == 0:
+    mat = m.pairing_matrix(k).T
+    rhs = m.sq_matrix(k, n - k)[0]
+    if m.f2_dim(k) == 0:
         if rhs.any():
             raise WuSolveError(f"degree-{k} Wu system inconsistent: no candidate classes")
         return m.zero_f2(k)
-    mat = f2.zeros(len(xs), dim_k)
-    for r, x in enumerate(xs):
-        for c, e in enumerate(m.basis_f2(k)):
-            mat[r, c] = m.pair(e, x)
     sol = f2.solve(mat, rhs)
     if sol is None:
         raise WuSolveError(f"degree-{k} Wu system unsolvable")
@@ -154,38 +151,61 @@ def wu_classes(model) -> WuClasses:
     return WuClasses(by_degree=by_degree)
 
 
-def sw_classes(model) -> SWClasses:
-    """Stiefel-Whitney classes via w_k = sum_i Sq^i(v_{k-i})."""
-    m = _cohomology(model)
-    wu = wu_classes(model)
-    n = m.dimension
-    v = {0: m.f2(0, [1]), **wu.by_degree}
+def sw_from_wu(m: CohomologyModel, wu: dict) -> dict:
+    """Stiefel-Whitney classes w_1..w_n from Wu classes: w_k = sum_i Sq^i(v_{k-i})."""
+    v = {0: m.f2(0, [1]), **wu}
     w = {}
-    for k in range(1, n + 1):
+    for k in range(1, m.dimension + 1):
         acc = m.zero_f2(k)
         for i in range(k + 1):
-            vk = v.get(k - i)
-            if vk is not None:
-                acc = acc + m.sq_map(i, vk)
+            acc = acc + m.sq_map(i, v[k - i])
         w[k] = acc
-    w3i = m.beta_map(w[2])
-    w7i = m.beta_map(w[6]) if n >= 6 else m.zero_z(7)
-    out = SWClasses(w=w, w3_integral=w3i, w7_integral=w7i)
+    return w
+
+
+def sw_classes(model) -> SWClasses:
+    """Stiefel-Whitney classes via the Wu formula, plus the integral classes
+    in degrees 3 and 7; 9-dimensional models must satisfy
+    ``nine_manifold_identities``."""
+    m = _cohomology(model)
+    n = m.dimension
+    w = sw_from_wu(m, wu_classes(model).by_degree)
     if n == 9:
-        _check_sw_identities(m, out)
-    return out
+        broken = nine_manifold_identities(m, w)
+        if broken:
+            raise ModelInvariantError(str(broken[0]))
+    w3i = m.beta_map(w[2]) if n >= 2 else m.zero_z(3)
+    w7i = m.beta_map(w[6]) if n >= 6 else m.zero_z(7)
+    return SWClasses(w=w, w3_integral=w3i, w7_integral=w7i)
 
 
-def _check_sw_identities(m: CohomologyModel, sw: SWClasses):
-    w = sw.w
-    for i in (1, 2, 3):
-        if w[2 * i + 1] != m.sq_map(1, w[2 * i]):
-            raise ModelInvariantError(f"w{2*i+1} != Sq^1 w{2*i}")
+def nine_manifold_identities(m: CohomologyModel, w: dict) -> list[Violation]:
+    """The identities Stiefel-Whitney classes of a closed orientable
+    9-manifold satisfy, as violations by the classes ``w``: w9 = 0,
+    w8 = w4^2 + w2^4, w_{2i+1} = Sq^1 w_{2i}, and, once the degree-3 integral
+    class vanishes, odd classes vanish, w6 = Sq^2 w4 and w2 w4 = w2 w6 = 0."""
+    out = []
+    if not w[9].is_zero():
+        out.append(Violation("w9_zero", 9, "top Stiefel-Whitney class nonzero"))
     w2sq = m.cup(w[2], w[2])
     if w[8] != m.cup(w[4], w[4]) + m.cup(w2sq, w2sq):
-        raise ModelInvariantError("w8 != w4^2 + w2^4")
-    if not w[9].is_zero():
-        raise ModelInvariantError("w9 != 0")
+        out.append(Violation("w8_formula", 8, "w8 != w4^2 + w2^4"))
+    for i in (1, 2, 3):
+        if w[2 * i + 1] != m.sq_map(1, w[2 * i]):
+            out.append(Violation("w_odd_formula", 2 * i + 1, f"w{2*i+1} != Sq^1 w{2*i}"))
+    if m.beta_map(w[2]).is_zero():
+        for k in (1, 3, 5, 7, 9):
+            if not w[k].is_zero():
+                out.append(Violation(
+                    "odd_w_vanishing", k, f"w{k} nonzero on a model with vanishing degree-3 integral class"
+                ))
+        if w[6] != m.sq_map(2, w[4]):
+            out.append(Violation("w6_formula", 6, "w6 != Sq^2 w4"))
+        if not m.cup(w[2], w[4]).is_zero():
+            out.append(Violation("w2w4_zero", 6, "w2 w4 != 0"))
+        if not m.cup(w[2], w[6]).is_zero():
+            out.append(Violation("w2w6_zero", 8, "w2 w6 != 0"))
+    return out
 
 
 # -- integral lifts ----------------------------------------------------------

@@ -79,7 +79,10 @@ def _load_input(source: str, need_manifold: bool = True):
     with open(source, "rb") as fh:
         raw = fh.read()
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-    text = raw.decode()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as e:
+        raise SchemaError("document", f"not UTF-8 text: {e.reason} at byte {e.start}") from None
     try:
         kind = json.loads(text).get("kind")
     except (json.JSONDecodeError, AttributeError):

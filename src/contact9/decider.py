@@ -19,8 +19,7 @@ from . import f2
 from .charclasses import (
     CosetH8, ModelInvariantError, PreconditionError, SWClasses,
     bockstein_vanishes_on, compute_dm, coset_reduce, half_product_solutions,
-    integral_lift, sigma_w4, spinc_data, sq2_image_subspace, sw_classes,
-    wu_classes, zero_coset,
+    integral_lift, sigma_w4, spinc_data, sw_classes, zero_coset,
 )
 from .model import CohomologyModel, ManifoldModel, ZClass, connected_sum, validate
 
@@ -266,7 +265,7 @@ def decide_connected_sum(a: ManifoldModel, b: ManifoldModel, seed: int | None = 
 
 
 def _sum_verdict_from_clauses(a, b, sw_a, sw_b, label, seed) -> Verdict:
-    trail = Trail(o3=_direct_sum_class(a.cohomology, b.cohomology, sw_a.W3, sw_b.W3))
+    trail = Trail(o3=_direct_sum_class(sw_a.W3, sw_b.W3))
     if not (sw_a.W3.is_zero() and sw_b.W3.is_zero()):
         return Verdict(
             Outcome.NO_CONTACT, ObstructionStage.W3, None, trail,
@@ -320,7 +319,7 @@ def _sum_verdict_from_clauses(a, b, sw_a, sw_b, label, seed) -> Verdict:
                    witness="both non-spin summands admit contact structures", label=label)
 
 
-def _direct_sum_class(ma, mb, za: ZClass, zb: ZClass) -> ZClass:
+def _direct_sum_class(za: ZClass, zb: ZClass) -> ZClass:
     # formal juxtaposition used only for reporting the sum trail
     return ZClass(za.degree, tuple(list(za.coords) + list(zb.coords)))
 

@@ -104,6 +104,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _f2_einsum(spec: str, *operands) -> np.ndarray:
+    """An einsum contraction of integer arrays, reduced mod 2."""
+    return (np.einsum(spec, *operands, dtype=np.int64) & 1).astype(np.uint8)
+
+
+def _pull_back(left: np.ndarray, right: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The product tensor t precomposed with two linear maps, mod 2:
+    out[x, y] = t(left[:, x], right[:, y])."""
+    return _f2_einsum("qy,xqz->xyz", right, np.einsum("px,pqz->xqz", left, t, dtype=np.int64))
+
+
 class CohomologyModel:
     """Graded cohomology data of a closed n-manifold; immutable."""
 
@@ -221,22 +232,38 @@ class CohomologyModel:
     def z_sub(self, a: ZClass, b: ZClass) -> ZClass:
         return self.z_add(a, self.z_scale(-1, b))
 
+    # -- operation tensors --------------------------------------------------
+
+    def sq_matrix(self, k: int, i: int) -> np.ndarray:
+        """Matrix of Sq^k from degree i to degree i + k.
+
+        Sq^0 is the identity whatever is stored; k > i, i + k > n and an
+        absent entry give the zero matrix.
+        """
+        if k == 0:
+            return f2.eye(self.f2_dim(i))
+        m = self.sq.get((k, i)) if k <= i and i + k <= self.dimension else None
+        return f2.zeros(self.f2_dim(i + k), self.f2_dim(i)) if m is None else m & 1
+
+    def cup_tensor(self, i: int, j: int) -> np.ndarray:
+        """Mod-2 product tensor of degrees (i, j), indexed [left, right, product].
+
+        i + j > n or a zero dimension gives the zero tensor; a missing tensor
+        between nonzero dimensions raises ``KeyError``.
+        """
+        t = self.cup2.get((i, j))
+        if t is not None:
+            return t & 1  # stored past the top, it has no product coordinates
+        shape = (self.f2_dim(i), self.f2_dim(j), self.f2_dim(i + j))
+        if all(shape):
+            raise KeyError(f"mod-2 product tensor ({i},{j}) missing")
+        return np.zeros(shape, dtype=np.uint8)
+
     # -- operations -------------------------------------------------------
 
     def cup(self, a: F2Class, b: F2Class) -> F2Class:
-        i, j = a.degree, b.degree
-        if i + j > self.dimension:
-            return self.zero_f2(i + j)
-        t = self.cup2.get((i, j))
-        if t is None:
-            if self.f2_dim(i) == 0 or self.f2_dim(j) == 0 or self.f2_dim(i + j) == 0:
-                return self.zero_f2(i + j)
-            raise KeyError(f"mod-2 product tensor ({i},{j}) missing")
-        out = np.zeros(self.f2_dim(i + j), dtype=np.uint8)
-        for x in np.nonzero(a.vec())[0]:
-            for y in np.nonzero(b.vec())[0]:
-                out ^= t[x, y]
-        return F2Class(i + j, tuple(int(v) for v in out))
+        out = _f2_einsum("x,y,xyz->z", a.vec(), b.vec(), self.cup_tensor(a.degree, b.degree))
+        return F2Class(a.degree + b.degree, tuple(int(v) for v in out))
 
     def cup_z(self, a: ZClass, b: ZClass) -> ZClass:
         i, j = a.degree, b.degree
@@ -261,15 +288,8 @@ class CohomologyModel:
     def sq_map(self, k: int, a: F2Class) -> F2Class:
         if k < 0:
             raise ValueError("negative Steenrod square")
-        if k == 0:
-            return a
-        i = a.degree
-        if k > i or i + k > self.dimension:
-            return self.zero_f2(i + k)
-        m = self.sq.get((k, i))
-        if m is None:
-            return self.zero_f2(i + k)
-        return F2Class(i + k, tuple(int(v) for v in f2.mat_vec(m, a.vec())))
+        out = f2.mat_vec(self.sq_matrix(k, a.degree), a.vec())
+        return F2Class(a.degree + k, tuple(int(v) for v in out))
 
     def rho2_map(self, a: ZClass) -> F2Class:
         m = self.rho2[a.degree] if a.degree <= self.dimension else None
@@ -308,14 +328,10 @@ class CohomologyModel:
         return self.eval_top(self.cup(a, b))
 
     def pairing_matrix(self, i: int) -> np.ndarray:
-        n = self.dimension
-        rows = self.basis_f2(i)
-        cols = self.basis_f2(n - i)
-        out = f2.zeros(len(rows), len(cols))
-        for x, a in enumerate(rows):
-            for y, b in enumerate(cols):
-                out[x, y] = self.pair(a, b)
-        return out
+        """<a b, [M]> for the basis classes a of degree i and b of degree n - i."""
+        if self.f2_dim(self.dimension) != 1:
+            raise ValueError("top mod-2 group is not one-dimensional")
+        return self.cup_tensor(i, self.dimension - i)[:, :, 0]
 
     # -- comparisons -------------------------------------------------------
 
@@ -398,6 +414,14 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def _reduce_rows(mat: np.ndarray, orders) -> np.ndarray:
+    """Exact copy in Python ints, row r reduced modulo orders[r] when nonzero."""
+    out = np.array(mat, dtype=object)
+    for r, o in enumerate(orders):
+        out[r] = [int(v) % o if o else int(v) for v in out[r]]
+    return out
+
+
 def _structural_checks(m: CohomologyModel, rep: ValidationReport):
     n = m.dimension
     # Bockstein matrices must land in the 2-torsion part
@@ -423,15 +447,17 @@ def _structural_checks(m: CohomologyModel, rep: ValidationReport):
     if m.orientable and m.f2_dim(n) == 1 and m.piece(n).z_rank == 1 and not m.piece(n).z_torsion:
         if not np.array_equal(m.rho2[n], np.array([[1]], dtype=np.uint8)):
             rep.add("orientation_reduction", n, "mod-2 reduction of the orientation class is not the mod-2 fundamental class")
-    # unit action
-    one = m.f2(0, [1]) if m.f2_dim(0) == 1 else None
-    if one is not None:
+    # unit action: the unit's slice of every product tensor with it is the identity
+    if m.f2_dim(0) == 1:
         for j in range(n + 1):
-            for e in m.basis_f2(j):
-                if (0, j) in m.cup2 and m.cup(one, e) != e:
-                    rep.add("unit_action", j, "unit does not act as identity on the left")
-                if (j, 0) in m.cup2 and m.cup(e, one) != e:
-                    rep.add("unit_action", j, "unit does not act as identity on the right")
+            eye = f2.eye(m.f2_dim(j))
+            bad = np.zeros((m.f2_dim(j), 2), dtype=bool)
+            if (0, j) in m.cup2:
+                bad[:, 0] = (m.cup_tensor(0, j)[0] != eye).any(axis=1)
+            if (j, 0) in m.cup2:
+                bad[:, 1] = (m.cup_tensor(j, 0)[:, 0] != eye).any(axis=1)
+            for _e, side in np.argwhere(bad):
+                rep.add("unit_action", j, f"unit does not act as identity on the {('left', 'right')[side]}")
     # required tensors present
     for i in range(n + 1):
         for j in range(n + 1 - i):
@@ -447,33 +473,38 @@ def _operation_checks(m: CohomologyModel, rep: ValidationReport):
             rep.add("sq0_identity", i, "stored Sq^0 is not the identity")
         if k > i and mat.any():
             rep.add("sq_above_degree", i, f"Sq^{k} nonzero on degree {i}")
-    for i in range(n + 1):
-        for e in m.basis_f2(i):
-            if m.sq_map(i, e) != m.cup(e, e):
+    # Sq^i x = x x: the columns of Sq^i against the diagonal of the (i, i) tensor
+    for i in range(n // 2 + 1):
+        if m.f2_dim(i):
+            bad = (m.sq_matrix(i, i).T != np.einsum("xxz->xz", m.cup_tensor(i, i))).any(axis=1)
+            for _ in np.flatnonzero(bad):
                 rep.add("sq_top_is_square", i, f"Sq^{i} != cup square on basis element")
-    # Cartan formula on all basis products
-    for (i, j), _t in sorted(m.cup2.items()):
-        if i + j > n:
+    # Cartan formula: Sq^k (a b) = sum_s Sq^s a Sq^(k-s) b on all basis pairs
+    for (i, j) in sorted(m.cup2):
+        if i + j > n or not (m.f2_dim(i) and m.f2_dim(j)):
             continue
-        for a in m.basis_f2(i):
-            for b in m.basis_f2(j):
-                ab = m.cup(a, b)
-                for k in range(1, i + j + 1):
-                    if i + j + k > n:
-                        break
-                    lhs = m.sq_map(k, ab)
-                    rhs = m.zero_f2(i + j + k)
-                    for s in range(k + 1):
-                        rhs = rhs + m.cup(m.sq_map(s, a), m.sq_map(k - s, b))
-                    if lhs != rhs:
-                        rep.add("cartan", i + j, f"Sq^{k} on product of degrees ({i},{j})")
-    # beta . rho2 = 0 and rho2 . beta = Sq^1
+        t = m.cup_tensor(i, j)
+        ks = range(1, min(i + j, n - i - j) + 1)
+        bad = np.zeros((m.f2_dim(i), m.f2_dim(j), len(ks)), dtype=bool)
+        for k in ks:
+            lhs = _f2_einsum("zc,xyc->xyz", m.sq_matrix(k, i + j), t)
+            rhs = np.zeros_like(lhs)
+            for s in range(k + 1):
+                left, right = m.sq_matrix(s, i), m.sq_matrix(k - s, j)
+                if left.any() and right.any():
+                    rhs ^= _pull_back(left, right, m.cup_tensor(i + s, j + k - s))
+            bad[:, :, k - 1] = (lhs != rhs).any(axis=2)
+        for _x, _y, k in np.argwhere(bad):
+            rep.add("cartan", i + j, f"Sq^{k + 1} on product of degrees ({i},{j})")
+    # beta rho2 = 0 on integral generators and rho2 beta = Sq^1 on mod-2 ones
     for i in range(n + 1):
-        for g in m.basis_z(i):
-            if not m.beta_map(m.rho2_map(g)).is_zero():
-                rep.add("beta_rho2", i, "beta of an integral reduction is nonzero")
-        for e in m.basis_f2(i):
-            if m.rho2_map(m.beta_map(e)) != m.sq_map(1, e):
+        beta = _reduce_rows(m.beta[i], m.z_orders(i + 1))
+        beta_rho2 = _reduce_rows(beta.dot((m.rho2[i] & 1).astype(object)), m.z_orders(i + 1))
+        for _ in np.flatnonzero((beta_rho2 != 0).any(axis=0)):
+            rep.add("beta_rho2", i, "beta of an integral reduction is nonzero")
+        if i < n:
+            lhs = _f2_einsum("rc,cj->rj", m.rho2[i + 1], (beta & 1).astype(np.int64))
+            for _ in np.flatnonzero((lhs != m.sq_matrix(1, i)).any(axis=0)):
                 rep.add("rho2_beta_sq1", i, "reduction of the Bockstein differs from Sq^1")
 
 
@@ -481,32 +512,27 @@ def _ring_checks(m: CohomologyModel, rep: ValidationReport):
     n = m.dimension
     for (i, j) in sorted(m.cup2):
         if i <= j and (j, i) in m.cup2:
-            for a in m.basis_f2(i):
-                for b in m.basis_f2(j):
-                    if m.cup(a, b) != m.cup(b, a):
-                        rep.add("commutativity", i + j, f"mod-2 products ({i},{j}) vs ({j},{i}) differ")
-    # associativity over all basis triples that stay inside the dimension
+            bad = (m.cup_tensor(i, j) != m.cup_tensor(j, i).transpose(1, 0, 2)).any(axis=2)
+            for _ in np.flatnonzero(bad):
+                rep.add("commutativity", i + j, f"mod-2 products ({i},{j}) vs ({j},{i}) differ")
+    # associativity (a b) c = a (b c) over all basis triples inside the dimension
     for i in range(1, n + 1):
         for j in range(1, n + 1 - i):
             for k in range(1, n + 1 - i - j):
                 if not (m.f2_dim(i) and m.f2_dim(j) and m.f2_dim(k)):
                     continue
-                for a in m.basis_f2(i):
-                    for b in m.basis_f2(j):
-                        ab = m.cup(a, b)
-                        for c in m.basis_f2(k):
-                            if m.cup(ab, c) != m.cup(a, m.cup(b, c)):
-                                rep.add("associativity", i + j + k, f"degrees ({i},{j},{k})")
+                left = _f2_einsum("xyp,pzq->xyzq", m.cup_tensor(i, j), m.cup_tensor(i + j, k))
+                right = _f2_einsum("yzp,xpq->xyzq", m.cup_tensor(j, k), m.cup_tensor(i, j + k))
+                for _ in np.flatnonzero((left != right).any(axis=3)):
+                    rep.add("associativity", i + j + k, f"degrees ({i},{j},{k})")
     # integral tensors reduce to the mod-2 tensors
     for (i, j), t in sorted(m.cup_int.items()):
         if i + j > n or (i, j) not in m.cup2:
             continue
-        for x, a in enumerate(m.basis_z(i)):
-            for y, b in enumerate(m.basis_z(j)):
-                lhs = m.rho2_map(m.cup_z(a, b))
-                rhs = m.cup(m.rho2_map(a), m.rho2_map(b))
-                if lhs != rhs:
-                    rep.add("integral_product_reduction", i + j, f"pair ({i},{j}) generators ({x},{y})")
+        lhs = _f2_einsum("zc,xyc->xyz", m.rho2[i + j], (t & 1).astype(np.int64))
+        rhs = _pull_back(m.rho2[i], m.rho2[j], m.cup_tensor(i, j))
+        for x, y in np.argwhere((lhs != rhs).any(axis=2)):
+            rep.add("integral_product_reduction", i + j, f"pair ({i},{j}) generators ({x},{y})")
 
 
 def _pairing_checks(m: CohomologyModel, rep: ValidationReport):
@@ -556,58 +582,17 @@ def _nine_manifold_checks(m: CohomologyModel, rep: ValidationReport):
     """Wu-formula consequences for orientable 9-manifolds, and the extra
     Stiefel-Whitney relations that hold once the degree-3 integral class
     vanishes."""
-    from .charclasses import WuSolveError
+    from .charclasses import WuSolveError, nine_manifold_identities, solve_wu_degree, sw_from_wu
 
     try:
-        wu = wu_classes_for_validation(m)
+        wu = {k: solve_wu_degree(m, k) for k in range(1, m.dimension + 1)}
     except WuSolveError as e:
         rep.add("wu_solvable", None, str(e))
         return
     for k, v in wu.items():
         if k not in (2, 4) and not v.is_zero():
             rep.add("wu_vanishing", k, f"Wu class in degree {k} is nonzero")
-    w = _sw_from_wu(m, wu)
-    if not w[9].is_zero():
-        rep.add("w9_zero", 9, "top Stiefel-Whitney class nonzero")
-    w2sq = m.cup(w[2], w[2])
-    rhs = m.cup(w[4], w[4]) + m.cup(w2sq, w2sq)
-    if w[8] != rhs:
-        rep.add("w8_formula", 8, "w8 != w4^2 + w2^4")
-    for i in (1, 2, 3):
-        if w[2 * i + 1] != m.sq_map(1, w[2 * i]):
-            rep.add("w_odd_formula", 2 * i + 1, f"w{2*i+1} != Sq^1 w{2*i}")
-    w3_int = m.beta_map(w[2])
-    if w3_int.is_zero():
-        # Stiefel-Whitney relations valid once the integral class in degree 3 vanishes
-        for k in (1, 3, 5, 7, 9):
-            if not w[k].is_zero():
-                rep.add("odd_w_vanishing", k, f"w{k} nonzero on a model with vanishing degree-3 integral class")
-        if w[6] != m.sq_map(2, w[4]):
-            rep.add("w6_formula", 6, "w6 != Sq^2 w4")
-        if not m.cup(w[2], w[4]).is_zero():
-            rep.add("w2w4_zero", 6, "w2 w4 != 0")
-        if not m.cup(w[2], w[6]).is_zero():
-            rep.add("w2w6_zero", 8, "w2 w6 != 0")
-
-
-def wu_classes_for_validation(m: CohomologyModel) -> dict[int, F2Class]:
-    """Wu classes in every degree, from the pairing characterisation."""
-    from .charclasses import solve_wu_degree
-
-    return {k: solve_wu_degree(m, k) for k in range(1, m.dimension + 1)}
-
-
-def _sw_from_wu(m: CohomologyModel, wu: dict[int, F2Class]) -> dict[int, F2Class]:
-    n = m.dimension
-    v = {0: m.f2(0, [1])}
-    v.update(wu)
-    w = {}
-    for k in range(1, n + 1):
-        acc = m.zero_f2(k)
-        for i in range(k + 1):
-            acc = acc + m.sq_map(i, v.get(k - i, m.zero_f2(k - i)))
-        w[k] = acc
-    return w
+    rep.violations += nine_manifold_identities(m, sw_from_wu(m, wu))
 
 
 # -- builders ---------------------------------------------------------------
@@ -1064,14 +1049,6 @@ def from_simplicial(x: SimplicialComplex, label: str = "") -> CohomologyModel:
 
 
 # -- base changes ------------------------------------------------------------
-
-
-def _reduce_rows(mat: np.ndarray, orders) -> np.ndarray:
-    out = np.array([[int(x) for x in row] for row in mat], dtype=object)
-    for r, o in enumerate(orders):
-        if o:
-            out[r, :] = [v % o for v in out[r, :]]
-    return out
 
 
 def random_z_automorphism(orders, rng, moves: int = 8):

@@ -8,7 +8,6 @@ byte-identical structured reports.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -19,7 +18,7 @@ from .simplicial import SimplicialComplex
 __all__ = [
     "SchemaError", "SCHEMA_VERSION",
     "emit_complex", "parse_complex", "emit_model", "parse_model",
-    "model_digest", "canonical_json",
+    "canonical_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -167,6 +166,8 @@ def parse_model(text: str):
     for d, g in enumerate(graded):
         if not isinstance(g, dict):
             raise SchemaError(f"graded[{d}]", "must be an object")
+        if type(g.get("degree")) is not int or g["degree"] != d:
+            raise SchemaError(f"graded[{d}].degree", f"expected the integer {d}")
         z_rank = _want(g, "z_rank", int, f"graded[{d}]")
         z_torsion = _want(g, "z_torsion", list, f"graded[{d}]")
         basis = _want(g, "f2_basis", list, f"graded[{d}]")
@@ -288,10 +289,6 @@ def parse_model(text: str):
                 raise SchemaError("omega_pc.representative", "wrong length")
             omega_cls = core.f2(8, rep)
     return ManifoldModel(core, phi_hat=phi_cls, omega_pc=omega_cls, label=str(doc.get("label", "")))
-
-
-def model_digest(model) -> str:
-    return "sha256:" + hashlib.sha256(emit_model(model).encode()).hexdigest()
 
 
 def models_equal(a, b) -> bool:

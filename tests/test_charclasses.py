@@ -4,16 +4,16 @@ products and the top invariant."""
 import numpy as np
 import pytest
 
-from contact9 import f2
+from contact9 import charclasses, f2
 from contact9.charclasses import (
     CosetH8, ModelInvariantError, PreconditionError, annihilator_subspace,
     bockstein_vanishes_on, compute_dm, coset_reduce, half_product,
-    half_product_solutions, integral_lift, random_integral_lift,
+    half_product_solutions, integral_lift, nine_manifold_identities, random_integral_lift,
     sigma_w4, spinc_data, sq2_image_subspace, sw_classes, wu_classes, zero_coset,
 )
 from contact9.complexes import cp2_9, rp3_40, sphere, torus_7
 from contact9.library import library, synthetic_spinc_models
-from contact9.model import CohomologyModel, GradedPiece, ManifoldModel, from_simplicial
+from contact9.model import CohomologyModel, GradedPiece, ManifoldModel, from_simplicial, validate
 
 
 # -- Wu classes ---------------------------------------------------------------
@@ -55,6 +55,59 @@ def test_sw_triangulation_goldens():
     ):
         sw = sw_classes(from_simplicial(x, label=label))
         assert {k: v.bits for k, v in sw.w.items() if not v.is_zero()} == expect, label
+
+
+def test_wu_above_the_dimension_is_zero():
+    wu = wu_classes(from_simplicial(torus_7(), label="T2"))
+    assert wu.v2.bits == (0,)
+    assert wu.v4.degree == 4 and wu.v4.bits == ()
+
+
+# -- the 9-manifold identities ---------------------------------------------------
+
+# S1 x CP4 has one mod-2 class in each degree, s^i a^j with s in degree 1 and a
+# in degree 2; its total class is (1 + a)^5 = 1 + a + a^4, and W3 = 0.
+NINE_MANIFOLD_CASES = [
+    ({}, []),
+    ({9: 1}, [("w9_zero", 9), ("odd_w_vanishing", 9)]),
+    ({8: 0}, [("w8_formula", 8)]),
+    ({3: 1}, [("w_odd_formula", 3), ("odd_w_vanishing", 3)]),
+    ({4: 1}, [("w8_formula", 8), ("w2w4_zero", 6)]),
+    ({6: 1}, [("w6_formula", 6), ("w2w6_zero", 8)]),
+    ({7: 1}, [("w_odd_formula", 7), ("odd_w_vanishing", 7)]),
+]
+
+
+def _s1xcp4_sw(changes: dict) -> dict:
+    m = library("S1xCP4").cohomology
+    w = dict(sw_classes(m).w)
+    for degree, bit in changes.items():
+        w[degree] = m.f2(degree, [bit])
+    return w
+
+
+@pytest.mark.parametrize("changes, expected", NINE_MANIFOLD_CASES)
+def test_nine_manifold_identities_on_hand_made_classes(changes, expected, monkeypatch):
+    m = library("S1xCP4").cohomology
+    w = _s1xcp4_sw(changes)
+    assert {k: v.bits for k, v in _s1xcp4_sw({}).items() if not v.is_zero()} == {2: (1,), 8: (1,)}
+    found = nine_manifold_identities(m, w)
+    assert [(v.check, v.degree) for v in found] == expected
+    # validation reports from the same function, and sw_classes raises from it
+    monkeypatch.setattr(charclasses, "sw_from_wu", lambda _m, _wu: w)
+    assert validate(m).violations == found
+    if found:
+        with pytest.raises(ModelInvariantError, match=found[0].check):
+            sw_classes(m)
+    else:
+        assert sw_classes(m).w == w
+
+
+def test_nine_manifold_identities_skip_spinc_relations_when_w3_nonzero():
+    m = library("Dold_5_2").cohomology
+    w = dict(sw_classes(m).w)
+    assert not w[3].is_zero()
+    assert nine_manifold_identities(m, w) == []
 
 
 # -- integral lifts -----------------------------------------------------------

@@ -217,3 +217,24 @@ def test_structured_trail_carries_witness_coordinates():
     assert trail["o8"]["subspace_dimension"] == 1
     assert trail["o8"]["subspace_basis"] == [[0, 1]]
     assert trail["o9"] is None
+
+
+def test_classes_below_dimension_four(tmp_path):
+    from contact9.complexes import torus_7
+    from contact9.schema import emit_complex
+
+    path = tmp_path / "t2.json"
+    path.write_text(emit_complex(torus_7()))
+    code, out = run_cmd("classes", str(path), "--format", "structured")
+    assert code == 0
+    r = json.loads(out)["results"][0]
+    assert r["v4"] == []
+    assert r["v2"] == [0]
+
+
+def test_undecodable_document_is_a_parse_error(tmp_path):
+    path = tmp_path / "s9.json"
+    path.write_bytes(b"\xff" + emit_model(library("S9")).encode())
+    code, out = run_cmd("validate", str(path), "--format", "structured")
+    assert code == EXIT_CODES["parse_error"]
+    assert "UTF-8" in json.loads(out)["warnings"][0]

@@ -65,6 +65,17 @@ def test_parse_names_offending_field():
         parse_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("degree", ["x", 4, True, None])
+def test_parse_rejects_wrong_graded_degree(degree):
+    doc = json.loads(emit_model(library("S9")))
+    doc["graded"][3]["degree"] = degree
+    with pytest.raises(SchemaError, match=r"graded\[3\].degree"):
+        parse_model(json.dumps(doc))
+    del doc["graded"][3]["degree"]
+    with pytest.raises(SchemaError, match=r"graded\[3\].degree"):
+        parse_model(json.dumps(doc))
+
+
 def test_parse_rejects_bad_torsion_chain():
     doc = json.loads(emit_model(library("S9")))
     doc["graded"][3]["z_torsion"] = [4, 2]
