@@ -295,12 +295,11 @@ def coset_reduce(x: F2Class, model) -> CosetH8:
 # -- the degree-one subspace and its annihilator description ------------------
 
 
-def compute_dm(model) -> f2.Subspace:
+def compute_dm(model, sw: SWClasses | None = None) -> f2.Subspace:
     """Degree-one classes whose product with w2 lies in the mod-2 image of
     the degree-3 torsion; checked against the annihilator description."""
     m = _cohomology(model)
-    sw = sw_classes(model)
-    w2 = sw.w[2]
+    w2 = (sw or sw_classes(model)).w[2]
     dim1 = m.f2_dim(1)
     dim3 = m.f2_dim(3)
     mul = f2.zeros(dim3, dim1)

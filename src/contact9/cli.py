@@ -140,7 +140,7 @@ def _classes_dict(model) -> dict:
         "W7": list(map(int, sw.W7.coords)),
     }
     if manifold:
-        dm = compute_dm(model)
+        dm = compute_dm(model, sw)
         out["dm_basis"] = [list(map(int, row)) for row in dm.basis]
         if sw.W3.is_zero() and not sw.w[2].is_zero():
             data = spinc_data(model, sw)

@@ -21,7 +21,7 @@ from .charclasses import (
     bockstein_vanishes_on, compute_dm, coset_reduce, half_product_solutions,
     integral_lift, sigma_w4, spinc_data, sw_classes, zero_coset,
 )
-from .model import CohomologyModel, ManifoldModel, ZClass, connected_sum, validate
+from .model import CohomologyModel, ManifoldModel, ZClass, _reduce_rows, connected_sum, validate
 
 __all__ = [
     "Outcome", "ObstructionStage", "MissingDatum", "Trail", "Verdict",
@@ -119,7 +119,7 @@ def evaluate_omega_pc(model: ManifoldModel, sw: SWClasses | None = None, rng=Non
         return coset_reduce(sw.w[8], model)
     if sw.w[4].is_zero():
         return zero_coset(model)
-    dm = compute_dm(model)
+    dm = compute_dm(model, sw)
     if bockstein_vanishes_on(m, dm):
         data = spinc_data(model, sw, rng=rng)
         cosets = set()
@@ -345,19 +345,16 @@ class IsoRejected(ValueError):
     pass
 
 
-def _z_apply(m: CohomologyModel, degree: int, mat, coords) -> ZClass:
-    out = [0] * m.z_gens(degree)
-    for r in range(len(out)):
-        for c, x in enumerate(coords):
-            out[r] += int(mat[r][c]) * int(x)
-    return m.z(degree, out)
-
-
 def _verify_iso(a: ManifoldModel, b: ManifoldModel, iso: GradedIso):
+    """Check that the correspondence is invertible and carries every operation
+    of a to that of b: one matrix identity per family and degree, in the
+    order Sq^k (k ascending), Bockstein and reduction per degree, then the
+    products."""
     ma, mb = a.cohomology, b.cohomology
     if ma.dimension != mb.dimension:
         raise IsoRejected("dimension mismatch")
     n = ma.dimension
+    F, Z = [], []  # the mod-2 maps, and the integral maps reduced modulo the generator orders
     for d in range(n + 1):
         f = np.asarray(iso.f2_maps.get(d, np.zeros((0, 0))), dtype=np.uint8)
         if f.shape != (mb.f2_dim(d), ma.f2_dim(d)):
@@ -366,49 +363,40 @@ def _verify_iso(a: ManifoldModel, b: ManifoldModel, iso: GradedIso):
             raise IsoRejected(f"mod-2 map in degree {d} not invertible")
         if ma.piece(d).z_orders != mb.piece(d).z_orders:
             raise IsoRejected(f"integral generator signature differs in degree {d}")
-        z = iso.z_maps.get(d)
-        zi = iso.z_inv_maps.get(d)
-        if ma.z_gens(d):
-            for basis in ma.basis_z(d):
-                roundtrip = _z_apply(ma, d, zi, _z_apply(mb, d, z, basis.coords).coords)
-                if roundtrip != basis:
-                    raise IsoRejected(f"integral map in degree {d} is not invertible")
+        orders, eye = ma.z_orders(d), np.eye(ma.z_gens(d), dtype=object)
+        z, zi = (np.asarray(maps.get(d, eye[:0]), dtype=object) for maps in (iso.z_maps, iso.z_inv_maps))
+        if z.shape != eye.shape or zi.shape != eye.shape or (
+            not np.array_equal(_reduce_rows(zi.dot(_reduce_rows(z, orders)), orders), eye)
+        ):
+            raise IsoRejected(f"integral map in degree {d} is not invertible")
+        F.append(f & 1)
+        Z.append(_reduce_rows(z, orders))
     # structure compatibility
     for d in range(n + 1):
-        fd = iso.f2_maps[d]
-        for e in ma.basis_f2(d):
-            img = mb.f2(d, f2.mat_vec(fd, e.vec()))
-            # Steenrod squares
-            for k in range(1, n - d + 1):
-                lhs = mb.f2(d + k, f2.mat_vec(iso.f2_maps[d + k], ma.sq_map(k, e).vec())) if d + k <= n else None
-                if lhs is not None and lhs != mb.sq_map(k, img):
-                    raise IsoRejected(f"Sq^{k} does not commute in degree {d}")
-            # Bockstein
-            if d + 1 <= n:
-                lhs = _z_apply(mb, d + 1, iso.z_maps[d + 1], ma.beta_map(e).coords)
-                if lhs != mb.beta_map(img):
-                    raise IsoRejected(f"Bockstein does not commute in degree {d}")
-        for g in ma.basis_z(d):
-            lhs = mb.rho2_map(_z_apply(mb, d, iso.z_maps[d], g.coords))
-            rhs = mb.f2(d, f2.mat_vec(iso.f2_maps[d], ma.rho2_map(g).vec()))
-            if lhs != rhs:
-                raise IsoRejected(f"reduction does not commute in degree {d}")
+        for k in range(1, n - d + 1):
+            lhs = f2.mat_mul(F[d + k], ma.sq_matrix(k, d))
+            if not np.array_equal(lhs, f2.mat_mul(mb.sq_matrix(k, d), F[d])):
+                raise IsoRejected(f"Sq^{k} does not commute in degree {d}")
+        if d < n:
+            orders = ma.z_orders(d + 1)
+            lhs = _reduce_rows(Z[d + 1].dot(_reduce_rows(ma.beta[d], orders)), orders)
+            if not np.array_equal(lhs, _reduce_rows(mb.beta[d].astype(object).dot(F[d]), orders)):
+                raise IsoRejected(f"Bockstein does not commute in degree {d}")
+        if not np.array_equal(f2.mat_mul(mb.rho2[d], Z[d] & 1), f2.mat_mul(F[d], ma.rho2[d])):
+            raise IsoRejected(f"reduction does not commute in degree {d}")
     for (i, j) in ma.cup2:
         if (i, j) not in mb.cup2:
             raise IsoRejected(f"product tensor ({i},{j}) missing on one side")
         if i + j > n:
             continue
-        for x in ma.basis_f2(i):
-            for y in ma.basis_f2(j):
-                fx = mb.f2(i, f2.mat_vec(iso.f2_maps[i], x.vec()))
-                fy = mb.f2(j, f2.mat_vec(iso.f2_maps[j], y.vec()))
-                lhs = mb.f2(i + j, f2.mat_vec(iso.f2_maps[i + j], ma.cup(x, y).vec()))
-                if lhs != mb.cup(fx, fy):
-                    raise IsoRejected(f"cup product does not commute at ({i},{j})")
+        lhs = np.einsum("xyz,Zz->xyZ", ma.cup_tensor(i, j), F[i + j], dtype=np.int64) & 1
+        rhs = np.einsum("ax,by,abz->xyz", F[i], F[j], mb.cup_tensor(i, j), dtype=np.int64) & 1
+        if not np.array_equal(lhs, rhs):
+            raise IsoRejected(f"cup product does not commute at ({i},{j})")
     # orientation
     if ma.orientable != mb.orientable:
         raise IsoRejected("orientability differs")
-    if ma.orientable and _z_apply(mb, n, iso.z_maps[n], (1,)) != mb.z(n, (1,)):
+    if ma.orientable and not np.array_equal(Z[n][:, :1], [[1]]):
         raise IsoRejected("orientation class not preserved")
     # extra data must correspond when present on both sides
     if (a.phi_hat is None) != (b.phi_hat is None):

@@ -115,6 +115,20 @@ def _pull_back(left: np.ndarray, right: np.ndarray, t: np.ndarray) -> np.ndarray
     return _f2_einsum("qy,xqz->xyz", right, np.einsum("px,pqz->xqz", left, t, dtype=np.int64))
 
 
+_to_int = np.frompyfunc(int, 1, 1)
+
+
+def _reduce_rows(a, orders: tuple, axis: int = 0) -> np.ndarray:
+    """Exact copy in Python ints, reduced modulo orders[r] at index r of the
+    axis; the free generators (order 0) come first, as in ``z_orders``."""
+    out = _to_int(np.asarray(a, dtype=object))
+    rank = orders.count(0)
+    if rank < len(orders):
+        torsion = (slice(None),) * axis + (slice(rank, None),)
+        out[torsion] %= np.array(orders[rank:], dtype=object).reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+    return out
+
+
 class CohomologyModel:
     """Graded cohomology data of a closed n-manifold; immutable."""
 
@@ -165,16 +179,8 @@ class CohomologyModel:
         self.cup_int: dict[tuple[int, int], np.ndarray] = {}
         for (i, j), t in dict(cup_int or {}).items():
             tgt = self.z_gens(i + j) if i + j <= self.dimension else 0
-            arr = np.empty((self.z_gens(i), self.z_gens(j), tgt), dtype=object)
-            src = np.asarray(t, dtype=object).reshape(arr.shape)
-            orders = self.z_orders(i + j) if i + j <= self.dimension else ()
-            for a in range(arr.shape[0]):
-                for b in range(arr.shape[1]):
-                    for c in range(arr.shape[2]):
-                        val = int(src[a, b, c])
-                        o = orders[c]
-                        arr[a, b, c] = val % o if o else val
-            self.cup_int[(int(i), int(j))] = _freeze(arr)
+            src = np.asarray(t, dtype=object).reshape(self.z_gens(i), self.z_gens(j), tgt)
+            self.cup_int[(int(i), int(j))] = _freeze(_reduce_rows(src, self.z_orders(i + j), axis=2))
 
     # -- shapes ---------------------------------------------------------
 
@@ -274,16 +280,7 @@ class CohomologyModel:
             if self.z_gens(i) == 0 or self.z_gens(j) == 0 or self.z_gens(i + j) == 0:
                 return self.zero_z(i + j)
             raise KeyError(f"integral product tensor ({i},{j}) missing")
-        out = [0] * self.z_gens(i + j)
-        for x, cx in enumerate(a.coords):
-            if not cx:
-                continue
-            for y, cy in enumerate(b.coords):
-                if not cy:
-                    continue
-                for c in range(len(out)):
-                    out[c] += cx * cy * int(t[x, y, c])
-        return self.z(i + j, out)
+        return self.z(i + j, np.einsum("x,y,xyc->c", a.vec(), b.vec(), t))
 
     def sq_map(self, k: int, a: F2Class) -> F2Class:
         if k < 0:
@@ -301,12 +298,7 @@ class CohomologyModel:
         i = a.degree
         if i > self.dimension or i + 1 > self.dimension:
             return self.zero_z(i + 1)
-        m = self.beta[i]
-        out = [0] * self.z_gens(i + 1)
-        for j in np.nonzero(a.vec())[0]:
-            for c in range(len(out)):
-                out[c] += int(m[c, j])
-        return self.z(i + 1, out)
+        return self.z(i + 1, self.beta[i].astype(object).dot(a.vec().astype(object)))
 
     # -- evaluation against the fundamental class --------------------------
 
@@ -412,14 +404,6 @@ class ValidationReport:
         if self.ok:
             return "valid"
         return "\n".join(str(v) for v in self.violations)
-
-
-def _reduce_rows(mat: np.ndarray, orders) -> np.ndarray:
-    """Exact copy in Python ints, row r reduced modulo orders[r] when nonzero."""
-    out = np.array(mat, dtype=object)
-    for r, o in enumerate(orders):
-        out[r] = [int(v) % o if o else int(v) for v in out[r]]
-    return out
 
 
 def _structural_checks(m: CohomologyModel, rep: ValidationReport):
@@ -598,185 +582,141 @@ def _nine_manifold_checks(m: CohomologyModel, rep: ValidationReport):
 # -- builders ---------------------------------------------------------------
 
 
+def _carry(t: np.ndarray, left, right, out) -> np.ndarray:
+    """A product tensor pulled back along two maps and pushed along a third,
+    einsum("ax,by,abz,Zz->xyZ", left, right, t, out) in the operands' arithmetic."""
+    a, b, z = t.shape
+    return right.T @ (left.T @ t.reshape(a, b * z)).reshape(left.shape[1], b, z) @ out.T
+
+
+def _push(m: CohomologyModel, F, G, Z, H):
+    """Every operation tensor of m carried along per-degree linear maps.
+
+    ``F[d]`` sends mod-2 coordinates of degree d forward and ``G[d]`` brings
+    them back; ``Z[d]`` and ``H[d]`` do the same for integral coordinates.
+    Returns (rho2, beta, sq, cup2, cup_int): F rho2 H, F Sq G and the mod-2
+    products mod 2; Z beta G and the integral products in exact integers,
+    not reduced modulo the generator orders.
+    """
+    n = m.dimension
+    F, G = ([np.asarray(x[d], dtype=np.int64) for d in range(n + 1)] for x in (F, G))
+    Z, H = ([np.asarray(x[d], dtype=object) for d in range(n + 1)] for x in (Z, H))
+    rho2 = [_f2_einsum("ab,bc,cd->ad", F[d], m.rho2[d], (H[d] % 2).astype(np.int64)) for d in range(n + 1)]
+    beta = [Z[d + 1].dot(m.beta[d].astype(object)).dot(G[d].astype(object)) for d in range(n)]
+    beta.append(np.zeros((0, G[n].shape[1]), dtype=object))
+    sq = {(k, d): _f2_einsum("ab,bc,cd->ad", F[d + k], t, G[d]) for (k, d), t in m.sq.items()}
+    cup2 = {(i, j): _carry(t, G[i], G[j], F[i + j]) & 1 for (i, j), t in m.cup2.items() if i + j <= n}
+    cup_int = {(i, j): _carry(t, H[i], H[j], Z[i + j]) for (i, j), t in m.cup_int.items() if i + j <= n}
+    return rho2, beta, sq, cup2, cup_int
+
+
 def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> CohomologyModel:
     """Graded tensor product of models; requires the second factor torsion-free
-    so that the integral cross-product map is a ring isomorphism in every degree."""
-    for i in range(b.dimension + 1):
-        if b.piece(i).z_torsion:
-            raise ValueError("second tensor factor must be torsion-free")
+    so that the integral cross-product map is a ring isomorphism in every degree.
+
+    Degree d holds one block per pair (i, j) with i + j = d, in order of i.
+    A block's basis is the Kronecker product of the factors' bases, and every
+    operation acts blockwise as the Kronecker product of the factors'
+    operations.  The integral generators of each degree are then stably
+    sorted free-first.
+    """
+    if any(b.piece(j).z_torsion for j in range(b.dimension + 1)):
+        raise ValueError("second tensor factor must be torsion-free")
     n = a.dimension + b.dimension
+    pairs = [(i, j) for i in range(a.dimension + 1) for j in range(b.dimension + 1)]
 
-    # index maps: pairs (degree_a, idx_a, degree_b, idx_b)
-    f2_pairs: dict[int, list[tuple[int, int, int, int]]] = {d: [] for d in range(n + 1)}
-    z_pairs: dict[int, list[tuple[int, int, int, int]]] = {d: [] for d in range(n + 1)}
-    for i in range(a.dimension + 1):
-        for j in range(b.dimension + 1):
-            d = i + j
-            for x in range(a.f2_dim(i)):
-                for y in range(b.f2_dim(j)):
-                    f2_pairs[d].append((i, x, j, y))
-            for x in range(a.z_gens(i)):
-                for y in range(b.z_gens(j)):
-                    z_pairs[d].append((i, x, j, y))
+    def blocks(dim_a, dim_b):
+        """The slice of each (i, j) block in the basis of degree i + j, and
+        the size of each degree."""
+        at, size = {}, [0] * (n + 1)
+        for i, j in pairs:
+            at[(i, j)] = slice(size[i + j], size[i + j] + dim_a(i) * dim_b(j))
+            size[i + j] = at[(i, j)].stop
+        return at, size
 
-    # order integral generators free-first (pair is free iff the a-generator is free)
-    def pair_order(p):
-        i, x, j, y = p
-        return a.z_orders(i)[x]
+    fs, f2_size = blocks(a.f2_dim, b.f2_dim)
+    zs, z_size = blocks(a.z_gens, b.z_gens)
+    orders = [np.zeros(s, dtype=np.int64) for s in z_size]  # a pair is as free as its first generator
+    names: list[list[str]] = [[] for _ in range(n + 1)]
+    for i, j in pairs:
+        orders[i + j][zs[(i, j)]] = np.repeat(a.z_orders(i), b.z_gens(j))
+        names[i + j] += [
+            y if i == 0 else x if j == 0 else f"{x}*{y}"
+            for x in a.piece(i).f2_basis for y in b.piece(j).f2_basis
+        ]
+    perm = [np.argsort(o, kind="stable") for o in orders]
+    pieces = [
+        GradedPiece(int((o == 0).sum()), tuple(np.sort(o[o > 0]).tolist()), tuple(names[d]))
+        for d, o in enumerate(orders)
+    ]
 
-    for d in range(n + 1):
-        z_pairs[d].sort(key=lambda p: (pair_order(p) != 0, pair_order(p), p))
-
-    f2_index = {d: {p: k for k, p in enumerate(f2_pairs[d])} for d in range(n + 1)}
-    z_index = {d: {p: k for k, p in enumerate(z_pairs[d])} for d in range(n + 1)}
-
-    def name(i, x, j, y):
-        na = a.piece(i).f2_basis[x]
-        nb = b.piece(j).f2_basis[y]
-        if i == 0:
-            return nb
-        if j == 0:
-            return na
-        return f"{na}*{nb}"
-
-    pieces = []
-    for d in range(n + 1):
-        orders = [pair_order(p) for p in z_pairs[d]]
-        pieces.append(
-            GradedPiece(
-                z_rank=sum(1 for o in orders if o == 0),
-                z_torsion=tuple(o for o in orders if o),
-                f2_basis=tuple(name(*p) for p in f2_pairs[d]),
-            )
-        )
-
-    rho2 = []
-    for d in range(n + 1):
-        mtx = np.zeros((len(f2_pairs[d]), len(z_pairs[d])), dtype=np.uint8)
-        for col, (i, x, j, y) in enumerate(z_pairs[d]):
-            va = a.rho2[i][:, x]
-            vb = b.rho2[j][:, y]
-            for xa in np.nonzero(va)[0]:
-                for yb in np.nonzero(vb)[0]:
-                    mtx[f2_index[d][(i, int(xa), j, int(yb))], col] ^= 1
-        rho2.append(mtx)
-
-    # Bockstein: beta(u x v) = beta(u) x vZ where vZ is the integral class
-    # reducing to v (second factor torsion-free, so its reduction is invertible)
+    # beta(u x v) = beta(u) x vZ where vZ is the integral class reducing to v
+    # (second factor torsion-free, so its reduction is invertible)
     rho_b_inv = [f2.inverse(b.rho2[j]) if b.f2_dim(j) else f2.zeros(0, 0) for j in range(b.dimension + 1)]
-    beta = []
-    for d in range(n + 1):
-        tgt = len(z_pairs[d + 1]) if d + 1 <= n else 0
-        mtx = np.zeros((tgt, len(f2_pairs[d])), dtype=np.int64)
-        if tgt:
-            for col, (i, x, j, y) in enumerate(f2_pairs[d]):
-                if i + 1 > a.dimension:
-                    continue
-                bvec = a.beta[i][:, x]
-                vz = rho_b_inv[j][:, y]
-                for za in np.nonzero(np.asarray(bvec))[0]:
-                    for zb in np.nonzero(vz)[0]:
-                        row = z_index[d + 1][(i + 1, int(za), j, int(zb))]
-                        mtx[row, col] += int(bvec[za])
-        beta.append(mtx)
-
+    rho2 = [np.zeros((f2_size[d], z_size[d]), dtype=np.uint8) for d in range(n + 1)]
+    beta = [np.zeros((z_size[d + 1] if d < n else 0, f2_size[d]), dtype=np.int64) for d in range(n + 1)]
     sq: dict[tuple[int, int], np.ndarray] = {}
-    for k in range(1, n + 1):
-        for d in range(n + 1 - k):
-            src = f2_pairs[d]
-            tgt = f2_pairs[d + k]
-            if not src or not tgt:
-                continue
-            mtx = np.zeros((len(tgt), len(src)), dtype=np.uint8)
-            for col, (i, x, j, y) in enumerate(src):
-                ea = F2Class(i, tuple(1 if t == x else 0 for t in range(a.f2_dim(i))))
-                eb = F2Class(j, tuple(1 if t == y else 0 for t in range(b.f2_dim(j))))
-                for s in range(k + 1):
-                    sa = a.sq_map(s, ea)
-                    sb = b.sq_map(k - s, eb)
-                    if sa.degree > a.dimension or sb.degree > b.dimension:
-                        continue
-                    for xa in np.nonzero(sa.vec())[0]:
-                        for yb in np.nonzero(sb.vec())[0]:
-                            mtx[f2_index[d + k][(i + s, int(xa), j + k - s, int(yb))], col] ^= 1
-            if mtx.any():
-                sq[(k, d)] = mtx
+    for i, j in pairs:
+        rho2[i + j][fs[(i, j)], zs[(i, j)]] = np.kron(a.rho2[i], b.rho2[j])
+        if i < a.dimension:
+            beta[i + j][zs[(i + 1, j)], fs[(i, j)]] = np.kron(a.beta[i], rho_b_inv[j])
+        # Cartan formula: Sq^k (u x v) = sum over s + t = k of Sq^s u x Sq^t v
+        for s in range(min(i, a.dimension - i) + 1):
+            for t in range(min(j, b.dimension - j) + 1):
+                if s + t:
+                    d, k = i + j, s + t
+                    mtx = sq.setdefault((k, d), np.zeros((f2_size[d + k], f2_size[d]), dtype=np.uint8))
+                    mtx[fs[(i + s, j + t)], fs[(i, j)]] ^= np.kron(a.sq_matrix(s, i), b.sq_matrix(t, j))
 
-    cup2 = {}
-    for d1 in range(n + 1):
-        for d2 in range(n + 1 - d1):
-            src1, src2, tgt = f2_pairs[d1], f2_pairs[d2], f2_pairs[d1 + d2]
-            if not (src1 and src2 and tgt):
-                continue
-            t = np.zeros((len(src1), len(src2), len(tgt)), dtype=np.uint8)
-            for r1, (i1, x1, j1, y1) in enumerate(src1):
-                for r2, (i2, x2, j2, y2) in enumerate(src2):
-                    if i1 + i2 > a.dimension or j1 + j2 > b.dimension:
-                        continue
-                    pa = a.cup(
-                        F2Class(i1, tuple(1 if t_ == x1 else 0 for t_ in range(a.f2_dim(i1)))),
-                        F2Class(i2, tuple(1 if t_ == x2 else 0 for t_ in range(a.f2_dim(i2)))),
-                    )
-                    pb = b.cup(
-                        F2Class(j1, tuple(1 if t_ == y1 else 0 for t_ in range(b.f2_dim(j1)))),
-                        F2Class(j2, tuple(1 if t_ == y2 else 0 for t_ in range(b.f2_dim(j2)))),
-                    )
-                    for xa in np.nonzero(pa.vec())[0]:
-                        for yb in np.nonzero(pb.vec())[0]:
-                            t[r1, r2, f2_index[d1 + d2][(i1 + i2, int(xa), j1 + j2, int(yb))]] ^= 1
-            cup2[(d1, d2)] = t
+    def zero_tensors(size, dtype):
+        return {
+            (d1, d2): np.zeros((size[d1], size[d2], size[d1 + d2]), dtype=dtype)
+            for d1 in range(n + 1) for d2 in range(n + 1 - d1) if size[d1] and size[d2] and size[d1 + d2]
+        }
 
-    cup_int = {}
-    for d1 in range(n + 1):
-        for d2 in range(n + 1 - d1):
-            src1, src2, tgt = z_pairs[d1], z_pairs[d2], z_pairs[d1 + d2]
-            if not (src1 and src2 and tgt):
+    cup2, cup_int = zero_tensors(f2_size, np.uint8), zero_tensors(z_size, object)
+    for i1, j1 in pairs:
+        for i2, j2 in pairs:
+            if i1 + i2 > a.dimension or j1 + j2 > b.dimension:
                 continue
-            t = np.zeros((len(src1), len(src2), len(tgt)), dtype=object)
-            for r1, (i1, x1, j1, y1) in enumerate(src1):
-                for r2, (i2, x2, j2, y2) in enumerate(src2):
-                    if i1 + i2 > a.dimension or j1 + j2 > b.dimension:
-                        continue
-                    if (i1, i2) not in a.cup_int or (j1, j2) not in b.cup_int:
-                        continue
-                    pa = a.cup_z(a.basis_z(i1)[x1], a.basis_z(i2)[x2])
-                    pb = b.cup_z(b.basis_z(j1)[y1], b.basis_z(j2)[y2])
-                    sign = -1 if (j1 % 2) and (i2 % 2) else 1
-                    for za, ca in enumerate(pa.coords):
-                        if not ca:
-                            continue
-                        for zb, cb in enumerate(pb.coords):
-                            if not cb:
-                                continue
-                            row = z_index[d1 + d2][(i1 + i2, za, j1 + j2, zb)]
-                            t[r1, r2, row] += sign * ca * cb
-            cup_int[(d1, d2)] = t
+            key = (i1 + j1, i2 + j2)
+            if key in cup2:
+                at = fs[(i1, j1)], fs[(i2, j2)], fs[(i1 + i2, j1 + j2)]
+                cup2[key][at] = np.kron(a.cup_tensor(i1, i2), b.cup_tensor(j1, j2))
+            if key in cup_int and (i1, i2) in a.cup_int and (j1, j2) in b.cup_int:
+                at = zs[(i1, j1)], zs[(i2, j2)], zs[(i1 + i2, j1 + j2)]
+                sign = -1 if j1 % 2 and i2 % 2 else 1
+                cup_int[key][at] = sign * np.kron(a.cup_int[(i1, i2)], b.cup_int[(j1, j2)])
 
     return CohomologyModel(
         dimension=n,
         pieces=pieces,
-        rho2=rho2,
-        beta=beta,
+        rho2=[r[:, p] for r, p in zip(rho2, perm)],
+        beta=[x[perm[d + 1]] if d < n else x for d, x in enumerate(beta)],
         sq=sq,
         cup2=cup2,
-        cup_int=cup_int,
+        cup_int={(i, j): t[np.ix_(perm[i], perm[j], perm[i + j])] for (i, j), t in cup_int.items()},
         orientable=a.orientable and b.orientable,
         label=label or f"{a.label}x{b.label}",
     )
 
 
 def build_product(a: CohomologyModel, b: CohomologyModel) -> CohomologyModel:
-    """Cartesian-product model for torsion-free factors (cross-product rules)."""
-    for m, side in ((a, "first"), (b, "second")):
-        for i in range(m.dimension + 1):
-            if m.piece(i).z_torsion:
-                raise ValueError(f"{side} factor has torsion; the product builder requires torsion-free factors")
+    """Cartesian-product model for torsion-free factors (cross-product rules);
+    ``_tensor_model`` rejects a second factor with torsion."""
+    if any(a.piece(i).z_torsion for i in range(a.dimension + 1)):
+        raise ValueError("first factor has torsion; the product builder requires torsion-free factors")
     return _tensor_model(a, b)
 
 
 def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
     """Connected sum of oriented 9-manifold models: middle degrees direct-sum,
-    one fused unit and one fused orientation, cross products vanishing."""
+    one fused unit and one fused orientation, cross products vanishing.
+
+    Each summand's tables are pushed along its inclusion into the sum and the
+    two images added.  In the middle degrees the sum's basis is a's then b's,
+    with the integral generators stably sorted free-first.
+    """
     ma, mb = a.cohomology, b.cohomology
     if ma.dimension != 9 or mb.dimension != 9:
         raise ValueError("connected sum needs two 9-dimensional models")
@@ -784,159 +724,63 @@ def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
         raise ValueError("connected sum needs orientable models")
     n = 9
 
-    # generator bookkeeping: in middle degrees, a-generators then b-generators,
-    # with integral free generators first and torsion merged in ascending order
-    f2_map_a: dict[int, list[int]] = {}
-    f2_map_b: dict[int, list[int]] = {}
-    z_map_a: dict[int, list[int]] = {}
-    z_map_b: dict[int, list[int]] = {}
     pieces = []
-    for d in range(10):
-        if d in (0, 9):
+    fa, fb, za, zb = [], [], [], []  # inclusions of a and of b, mod 2 and integral
+    for d in range(n + 1):
+        if d in (0, n):
             pieces.append(GradedPiece(1, (), ("1",) if d == 0 else ("top",)))
-            f2_map_a[d] = [0] * ma.f2_dim(d)
-            f2_map_b[d] = [0] * mb.f2_dim(d)
-            z_map_a[d] = [0] * ma.z_gens(d)
-            z_map_b[d] = [0] * mb.z_gens(d)
+            for maps, k in ((fa, ma.f2_dim(d)), (fb, mb.f2_dim(d)), (za, ma.z_gens(d)), (zb, mb.z_gens(d))):
+                maps.append(np.ones((1, k), dtype=np.int64))
             continue
-        names = tuple(f"{s}@a" for s in ma.piece(d).f2_basis) + tuple(
-            f"{s}@b" for s in mb.piece(d).f2_basis
-        )
-        f2_map_a[d] = list(range(ma.f2_dim(d)))
-        f2_map_b[d] = [ma.f2_dim(d) + k for k in range(mb.f2_dim(d))]
-        gens = [("a", k, o) for k, o in enumerate(ma.z_orders(d))] + [
-            ("b", k, o) for k, o in enumerate(mb.z_orders(d))
-        ]
-        gens.sort(key=lambda g: (g[2] != 0, g[2], g[0], g[1]))
-        z_map_a[d] = [0] * ma.z_gens(d)
-        z_map_b[d] = [0] * mb.z_gens(d)
-        for pos, (side, k, _o) in enumerate(gens):
-            (z_map_a if side == "a" else z_map_b)[d][k] = pos
-        pieces.append(
-            GradedPiece(
-                z_rank=sum(1 for g in gens if g[2] == 0),
-                z_torsion=tuple(g[2] for g in gens if g[2]),
-                f2_basis=names,
-            )
-        )
+        e = np.eye(ma.f2_dim(d) + mb.f2_dim(d), dtype=np.int64)
+        fa.append(e[:, :ma.f2_dim(d)])
+        fb.append(e[:, ma.f2_dim(d):])
+        orders = np.array(ma.z_orders(d) + mb.z_orders(d), dtype=np.int64)
+        order = np.argsort(orders, kind="stable")
+        e = np.eye(len(orders), dtype=np.int64)[order]
+        za.append(e[:, :ma.z_gens(d)])
+        zb.append(e[:, ma.z_gens(d):])
+        names = tuple(f"{s}@a" for s in ma.piece(d).f2_basis) + tuple(f"{s}@b" for s in mb.piece(d).f2_basis)
+        torsion = orders[order][orders[order] > 0]
+        pieces.append(GradedPiece(len(orders) - len(torsion), tuple(torsion.tolist()), names))
+    (rho2_a, beta_a, sq, cup2_a, int_a), (rho2_b, beta_b, sq_b, cup2_b, int_b) = (
+        _push(m, f, [x.T for x in f], z, [x.T for x in z]) for m, f, z in ((ma, fa, za), (mb, fb, zb))
+    )
 
-    rho2 = []
-    for d in range(10):
-        dim = len(pieces[d].f2_basis)
-        gens = pieces[d].z_gens
-        blocks = [(ma.rho2[d], f2_map_a[d], z_map_a[d]), (mb.rho2[d], f2_map_b[d], z_map_b[d])]
-        mtx = np.zeros((dim, gens), dtype=np.int64)
-        for src, rmap, cmap in blocks:
-            for r in range(src.shape[0]):
-                for c in range(src.shape[1]):
-                    if src[r, c]:
-                        mtx[rmap[r], cmap[c]] ^= int(src[r, c])
-        if d in (0, 9):
-            # both factor units/orientations map to the single fused generator
-            mtx = np.array([[1]], dtype=np.int64)
-        rho2.append(mtx.astype(np.uint8))
+    # both factor units/orientations map to the single fused generator
+    rho2 = [np.ones((1, 1), dtype=np.uint8) if d in (0, n) else rho2_a[d] ^ rho2_b[d] for d in range(n + 1)]
+    beta = [x + y for x, y in zip(beta_a, beta_b)]
+    beta[0] = np.zeros_like(beta[0])
+    for key, t in sq_b.items():
+        sq[key] = sq[key] ^ t if key in sq else t
 
-    beta = []
-    for d in range(10):
-        tgt = pieces[d + 1].z_gens if d + 1 <= 9 else 0
-        mtx = np.zeros((tgt, len(pieces[d].f2_basis)), dtype=np.int64)
-        if tgt:
-            for src, cmap, rmap in (
-                (ma.beta[d], f2_map_a[d], z_map_a[d + 1]),
-                (mb.beta[d], f2_map_b[d], z_map_b[d + 1]),
-            ):
-                for r in range(src.shape[0]):
-                    for c in range(src.shape[1]):
-                        if src[r, c]:
-                            mtx[rmap[r], cmap[c]] += int(src[r, c])
-            if d == 0:
-                mtx = np.zeros((tgt, 1), dtype=np.int64)
-        beta.append(mtx)
-
-    sq: dict[tuple[int, int], np.ndarray] = {}
-    keys = set(ma.sq) | set(mb.sq)
-    for (k, d) in keys:
-        if d + k > 9:
-            continue
-        mtx = np.zeros((len(pieces[d + k].f2_basis), len(pieces[d].f2_basis)), dtype=np.uint8)
-        for src_model, fmap_src, fmap_tgt in (
-            (ma, f2_map_a, f2_map_a),
-            (mb, f2_map_b, f2_map_b),
-        ):
-            src = src_model.sq.get((k, d))
-            if src is None:
-                continue
-            for r in range(src.shape[0]):
-                for c in range(src.shape[1]):
-                    if src[r, c]:
-                        mtx[fmap_tgt[d + k][r], fmap_src[d][c]] ^= 1
-        if mtx.any():
-            sq[(k, d)] = mtx
-
-    # products: unit pairs act as the identity; middle-degree pairs assemble
-    # block-diagonally (cross products between the summands vanish, products
-    # into the top degree land on the fused orientation class)
-    cup2 = {}
-    for i in range(10):
-        for j in range(10 - i):
-            di, dj, dt = len(pieces[i].f2_basis), len(pieces[j].f2_basis), len(pieces[i + j].f2_basis)
-            if not (di and dj and dt):
-                continue
-            t = np.zeros((di, dj, dt), dtype=np.uint8)
-            if i == 0:
-                for y in range(dj):
-                    t[0, y, y] = 1
-            elif j == 0:
-                for x in range(di):
-                    t[x, 0, x] = 1
-            else:
-                for src_model, fm in ((ma, f2_map_a), (mb, f2_map_b)):
-                    tensor = src_model.cup2.get((i, j))
-                    if tensor is None:
-                        continue
-                    for x in range(tensor.shape[0]):
-                        for y in range(tensor.shape[1]):
-                            for c in range(tensor.shape[2]):
-                                if tensor[x, y, c]:
-                                    t[fm[i][x], fm[j][y], fm[i + j][c]] ^= 1
-            cup2[(i, j)] = t
-
-    cup_int = {}
-    pairs = set(ma.cup_int) | set(mb.cup_int)
-    for (i, j) in sorted(pairs):
-        if i + j > 9:
-            continue
-        zi, zj, zt = pieces[i].z_gens, pieces[j].z_gens, pieces[i + j].z_gens
-        if not (zi and zj and zt):
-            continue
-        blocks = []
-        assemblable = True
-        for src_model, zm in ((ma, z_map_a), (mb, z_map_b)):
-            tensor = src_model.cup_int.get((i, j))
-            if tensor is None:
-                # a factor with no classes in one of the degrees contributes
-                # nothing; otherwise the pair cannot be assembled honestly
-                if src_model.z_gens(i) and src_model.z_gens(j) and src_model.z_gens(i + j):
-                    assemblable = False
-                continue
-            blocks.append((tensor, zm))
-        if not assemblable:
-            continue
-        t = np.zeros((zi, zj, zt), dtype=object)
+    # products: unit pairs act as the identity; other pairs add the summands'
+    # images, which are disjoint (cross products between the summands vanish,
+    # products into the top degree land on the fused orientation class)
+    def unit_or_sum(i, j, shape, tables, dtype):
         if i == 0:
-            for y in range(zj):
-                t[0, y, y] = 1
-        elif j == 0:
-            for x in range(zi):
-                t[x, 0, x] = 1
-        else:
-            for tensor, zm in blocks:
-                for x in range(tensor.shape[0]):
-                    for y in range(tensor.shape[1]):
-                        for c in range(tensor.shape[2]):
-                            if tensor[x, y, c]:
-                                t[zm[i][x], zm[j][y], zm[i + j][c]] += int(tensor[x, y, c])
-        cup_int[(i, j)] = t
+            return np.eye(shape[1], dtype=dtype)[None]
+        if j == 0:
+            return np.eye(shape[0], dtype=dtype)[:, None]
+        return sum((t[(i, j)] for t in tables if (i, j) in t), np.zeros(shape, dtype=dtype))
+
+    def assemblable(m, i, j):
+        """A summand with classes in all three degrees but no integral tensor
+        cannot be assembled honestly."""
+        return (i, j) in m.cup_int or not (m.z_gens(i) and m.z_gens(j) and m.z_gens(i + j))
+
+    cup2, cup_int = {}, {}
+    f2_dims, z_dims = [p.f2_dim for p in pieces], [p.z_gens for p in pieces]
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            shape = (f2_dims[i], f2_dims[j], f2_dims[i + j])
+            if all(shape):
+                cup2[(i, j)] = unit_or_sum(i, j, shape, (cup2_a, cup2_b), np.uint8)
+            shape = (z_dims[i], z_dims[j], z_dims[i + j])
+            if all(shape) and ((i, j) in ma.cup_int or (i, j) in mb.cup_int) and all(
+                assemblable(m, i, j) for m in (ma, mb)
+            ):
+                cup_int[(i, j)] = unit_or_sum(i, j, shape, (int_a, int_b), object)
 
     label = f"{a.label or ma.label}#{b.label or mb.label}"
     summed = CohomologyModel(
@@ -944,23 +788,14 @@ def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
         cup_int=cup_int, orientable=True, label=label,
     )
 
-    phi = None
-    if a.phi_hat is not None and b.phi_hat is not None:
-        bits = [0] * summed.f2_dim(5)
-        for k, v in enumerate(a.phi_hat.bits):
-            bits[f2_map_a[5][k]] ^= v
-        for k, v in enumerate(b.phi_hat.bits):
-            bits[f2_map_b[5][k]] ^= v
-        phi = summed.f2(5, bits)
-    omega = None
-    if a.omega_pc is not None and b.omega_pc is not None:
-        bits = [0] * summed.f2_dim(8)
-        for k, v in enumerate(a.omega_pc.bits):
-            bits[f2_map_a[8][k]] ^= v
-        for k, v in enumerate(b.omega_pc.bits):
-            bits[f2_map_b[8][k]] ^= v
-        omega = summed.f2(8, bits)
-    return ManifoldModel(summed, phi_hat=phi, omega_pc=omega, label=label)
+    def joined(x, y, d):
+        if x is None or y is None:
+            return None
+        return summed.f2(d, f2.mat_vec(fa[d], x.vec()) ^ f2.mat_vec(fb[d], y.vec()))
+
+    return ManifoldModel(
+        summed, phi_hat=joined(a.phi_hat, b.phi_hat, 5), omega_pc=joined(a.omega_pc, b.omega_pc, 8), label=label,
+    )
 
 
 def from_simplicial(x: SimplicialComplex, label: str = "") -> CohomologyModel:
@@ -1167,81 +1002,11 @@ def transform_model(model, f2_maps, f2_invs, z_maps, z_invs):
     """
     manifold = isinstance(model, ManifoldModel)
     m = model.cohomology if manifold else model
-    n = m.dimension
-
-    rho2 = []
-    for d in range(n + 1):
-        zi = np.asarray(z_invs[d], dtype=object)
-        z2 = np.zeros(zi.shape, dtype=np.uint8)
-        for r in range(zi.shape[0]):
-            for c in range(zi.shape[1]):
-                z2[r, c] = int(zi[r, c]) % 2
-        rho2.append(f2.mat_mul(f2.mat_mul(f2_maps[d], m.rho2[d]), z2))
-
-    beta = []
-    for d in range(n + 1):
-        if d + 1 > n:
-            beta.append(np.zeros((0, m.f2_dim(d)), dtype=np.int64))
-            continue
-        mid = np.dot(np.asarray(z_maps[d + 1], dtype=object), np.asarray(m.beta[d], dtype=object))
-        out = np.dot(mid, np.asarray(f2_invs[d], dtype=object))
-        out = _reduce_rows(out, m.z_orders(d + 1))
-        beta.append(np.asarray([[int(x) for x in row] for row in out], dtype=np.int64))
-
-    sq = {}
-    for (k, d), mat in m.sq.items():
-        if d + k > n:
-            continue
-        sq[(k, d)] = f2.mat_mul(f2.mat_mul(f2_maps[d + k], mat), f2_invs[d])
-
-    cup2 = {}
-    for (i, j), t in m.cup2.items():
-        if i + j > n:
-            continue
-        di, dj, dt = t.shape
-        new = np.zeros_like(t)
-        fi, fj, ft = f2_invs[i], f2_invs[j], f2_maps[i + j]
-        for x in range(di):
-            for y in range(dj):
-                acc = np.zeros(dt, dtype=np.uint8)
-                for x0 in range(di):
-                    if not fi[x0, x]:
-                        continue
-                    for y0 in range(dj):
-                        if fj[y0, y]:
-                            acc ^= t[x0, y0]
-                new[x, y] = f2.mat_vec(ft, acc) if dt else acc
-        cup2[(i, j)] = new
-
-    cup_int = {}
-    for (i, j), t in m.cup_int.items():
-        if i + j > n:
-            continue
-        zi, zj, zt = t.shape
-        new = np.zeros((zi, zj, zt), dtype=object)
-        zi_inv = np.asarray(z_invs[i], dtype=object)
-        zj_inv = np.asarray(z_invs[j], dtype=object)
-        z_out = np.asarray(z_maps[i + j], dtype=object)
-        orders = m.z_orders(i + j)
-        for x in range(zi):
-            for y in range(zj):
-                acc = np.zeros(zt, dtype=object)
-                for x0 in range(zi):
-                    cx = int(zi_inv[x0, x])
-                    if not cx:
-                        continue
-                    for y0 in range(zj):
-                        cy = int(zj_inv[y0, y])
-                        if cy:
-                            acc = acc + cx * cy * t[x0, y0]
-                out = np.dot(z_out, acc) if zt else acc
-                for c, o in enumerate(orders):
-                    new[x, y, c] = int(out[c]) % o if o else int(out[c])
-        cup_int[(i, j)] = new
-
+    rho2, beta, sq, cup2, cup_int = _push(m, f2_maps, f2_invs, z_maps, z_invs)
     core = CohomologyModel(
-        dimension=n, pieces=m.pieces, rho2=rho2, beta=beta, sq=sq, cup2=cup2,
-        cup_int=cup_int, orientable=m.orientable, label=m.label + "'",
+        dimension=m.dimension, pieces=m.pieces, rho2=rho2,
+        beta=[_reduce_rows(x, m.z_orders(d + 1)) for d, x in enumerate(beta)],
+        sq=sq, cup2=cup2, cup_int=cup_int, orientable=m.orientable, label=m.label + "'",
     )
     if not manifold:
         return core

@@ -182,6 +182,11 @@ def parse_model(text: str):
             raise SchemaError(f"graded[{d}]", str(e)) from None
         name_index.append({name: k for k, name in enumerate(basis)})
 
+    def zero_one(arr, where):
+        if not set(arr.ravel().tolist()) <= {0, 1}:
+            raise SchemaError(where, "entries must be 0 or 1")
+        return arr
+
     def matrix(field, d, rows, cols, binary=False):
         src = doc.get(field, {}).get(str(d))
         if src is None or rows == 0 or cols == 0:
@@ -189,9 +194,7 @@ def parse_model(text: str):
         arr = np.asarray(src, dtype=np.int64)
         if arr.shape != (rows, cols):
             raise SchemaError(f"{field}.{d}", f"expected shape {(rows, cols)}")
-        if binary and arr.size and (arr.min() < 0 or arr.max() > 1):
-            raise SchemaError(f"{field}.{d}", "entries must be 0 or 1")
-        return arr
+        return zero_one(arr, f"{field}.{d}") if binary else arr
 
     rho2 = [matrix("rho2", d, pieces[d].f2_dim, pieces[d].z_gens, binary=True) for d in range(dimension + 1)]
     beta = [
@@ -209,7 +212,7 @@ def parse_model(text: str):
             arr = np.asarray(mat, dtype=np.int64)
             if arr.shape != (rows, pieces[d].f2_dim):
                 raise SchemaError(f"sq.{k}.{d}", f"expected shape {(rows, pieces[d].f2_dim)}")
-            sq[(k, d)] = arr.astype(np.uint8)
+            sq[(k, d)] = zero_one(arr, f"sq.{k}.{d}").astype(np.uint8)
 
     cup2_tensors: dict[tuple[int, int], np.ndarray] = {}
     for e, entry in enumerate(_want(doc, "cup2", list)):
@@ -229,7 +232,8 @@ def parse_model(text: str):
         t = cup2_tensors.setdefault(
             (i, j), np.zeros((pieces[i].f2_dim, pieces[j].f2_dim, pieces[i + j].f2_dim), dtype=np.uint8)
         )
-        t[name_index[i][left], name_index[j][right]] = np.asarray(value, dtype=np.uint8)
+        value = zero_one(np.asarray(value, dtype=np.int64), f"{where}.value")
+        t[name_index[i][left], name_index[j][right]] = value
     # pairs with no nonzero entries still need their (zero) tensors
     for i in range(dimension + 1):
         for j in range(dimension + 1 - i):

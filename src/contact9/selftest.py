@@ -222,7 +222,7 @@ def choice_independence_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_S
                 )
         sw = sw_classes(model)
         if sw.W3.is_zero() and not sw.w[2].is_zero() and not sw.w[4].is_zero():
-            if bockstein_vanishes_on(model.cohomology, compute_dm(model)):
+            if bockstein_vanishes_on(model.cohomology, compute_dm(model, sw)):
                 reference = None
                 for _ in range(samples):
                     data = spinc_data(model, sw, rng=rng)
@@ -292,7 +292,7 @@ def square_identity_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPL
                     red = m.rho2_map(y)
                     if not sub.contains(m.cup(red, red).vec()):
                         return SuiteResult("square_identities", False, cases, f"{model.label}: rho2(y^2) outside the subspace")
-            dm = compute_dm(model)  # includes the annihilator cross-check
+            dm = compute_dm(model, sw)  # includes the annihilator cross-check
             if bockstein_vanishes_on(m, dm):
                 for z in m.basis_f2(7):
                     cases += 1

@@ -238,3 +238,16 @@ def test_undecodable_document_is_a_parse_error(tmp_path):
     code, out = run_cmd("validate", str(path), "--format", "structured")
     assert code == EXIT_CODES["parse_error"]
     assert "UTF-8" in json.loads(out)["warnings"][0]
+
+
+def test_classes_solves_the_wu_system_three_times(monkeypatch):
+    """validate, wu_classes and sw_classes each solve the nine Wu degrees
+    once; compute_dm reuses the caller's Stiefel-Whitney classes."""
+    from contact9 import charclasses
+
+    calls = []
+    solve = charclasses.solve_wu_degree
+    monkeypatch.setattr(charclasses, "solve_wu_degree", lambda m, k: calls.append(k) or solve(m, k))
+    code, _ = run(Command("classes", ["library:S1xCP4"]))
+    assert code == 0
+    assert len(calls) == 27

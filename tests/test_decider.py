@@ -1,18 +1,22 @@
 """The decision procedure: verdict corpus, obstruction trails, connected-sum
 clauses, and homotopy invariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from contact9 import f2
 from contact9.charclasses import PreconditionError, sw_classes
 from contact9.decider import (
     GradedIso, IsoRejected, MissingDatum, ObstructionStage, Outcome,
-    ValidationFailedError, check_w7_theorem, decide, decide_connected_sum,
+    ValidationFailedError, _verify_iso, check_w7_theorem, decide, decide_connected_sum,
     evaluate_omega_pc, homotopy_invariance_check,
 )
 from contact9.library import LIBRARY_NAMES, base_models, library, synthetic_spinc_models
 from contact9.model import (
-    ManifoldModel, build_product, connected_sum, random_model_iso, transform_model,
+    CohomologyModel, GradedPiece, ManifoldModel, build_product, connected_sum,
+    random_model_iso, transform_model,
 )
 
 EXPECTED = {
@@ -196,6 +200,99 @@ def test_homotopy_invariance_rejects_broken_iso():
     )
     with pytest.raises(IsoRejected, match="Sq"):
         homotopy_invariance_check(m1, fake, iso)
+
+
+def _with_cohomology(model: ManifoldModel, **change) -> ManifoldModel:
+    """The manifold model with some fields of its cohomology replaced."""
+    c = model.cohomology
+    fields = dict(
+        dimension=c.dimension, pieces=c.pieces, rho2=c.rho2, beta=c.beta, sq=c.sq,
+        cup2=c.cup2, cup_int=c.cup_int, orientable=c.orientable, label=c.label,
+    )
+    fields.update(change)
+    return ManifoldModel(CohomologyModel(**fields), model.phi_hat, model.omega_pc, model.label)
+
+
+def _replaced(items, index, value) -> list:
+    out = list(items)
+    out[index] = value
+    return out
+
+
+def _with_supplied_coset(name: str) -> ManifoldModel:
+    m = library(name)
+    return ManifoldModel(m.cohomology, omega_pc=sw_classes(m).w[8], label=m.label)
+
+
+def _maps(**changed):
+    """Perturbation replacing maps of the correspondence: field=(degree, map)."""
+    def perturb(b, iso):
+        return b, replace(iso, **{f: {**getattr(iso, f), d: v} for f, (d, v) in changed.items()})
+    return perturb
+
+
+def _tables(**changed):
+    """Perturbation rebuilding the copy with fields computed from its cohomology."""
+    def perturb(b, iso):
+        return _with_cohomology(b, **{k: f(b.cohomology) for k, f in changed.items()}), iso
+    return perturb
+
+
+def _classes(**classes):
+    """Perturbation replacing the copy's extra classes (absent unless given)."""
+    def perturb(b, iso):
+        c = b.cohomology
+        return ManifoldModel(c, label=b.label, **{k: f(c) for k, f in classes.items()}), iso
+    return perturb
+
+
+# (source model, perturbation of the based copy and its correspondence, message)
+_MINUS_ONE = -np.eye(1, dtype=object)
+ISO_FAULTS = {
+    "shape": ("Dold_5_2", _maps(f2_maps=(4, f2.zeros(4, 3))),
+              "mod-2 map in degree 4 has the wrong shape"),
+    "singular": ("Dold_5_2", _maps(f2_maps=(4, f2.zeros(3, 3))),
+                 "mod-2 map in degree 4 not invertible"),
+    "signature": ("Dold_5_2", _tables(pieces=lambda c: _replaced(
+        c.pieces, 2, GradedPiece(0, (4,), c.pieces[2].f2_basis))),
+        "integral generator signature differs in degree 2"),
+    "round_trip": ("Dold_5_2", _maps(z_inv_maps=(4, np.zeros((2, 2), dtype=object))),
+                   "integral map in degree 4 is not invertible"),
+    "bockstein": ("Dold_5_2", _tables(beta=lambda c: _replaced(c.beta, 1, c.beta[1] + 1)),
+                  "Bockstein does not commute in degree 1$"),
+    "reduction": ("Dold_5_2", _tables(rho2=lambda c: _replaced(c.rho2, 4, c.rho2[4] ^ 1)),
+                  "reduction does not commute in degree 4"),
+    "cup": ("Dold_5_2", _tables(cup2=lambda c: {**c.cup2, (1, 1): c.cup2[(1, 1)] ^ 1}),
+            r"cup product does not commute at \(1,1\)"),
+    "cup_missing": ("Dold_5_2", _tables(cup2=lambda c: {k: t for k, t in c.cup2.items() if k != (1, 1)}),
+                    r"product tensor \(1,1\) missing on one side"),
+    "orientability": ("Dold_5_2", _tables(orientable=lambda c: False),
+                      "orientability differs"),
+    "orientation": ("Dold_5_2", _maps(z_maps=(9, _MINUS_ONE), z_inv_maps=(9, _MINUS_ONE)),
+                    "orientation class not preserved"),
+    "phi_hat_missing": ("S1xHP2", _classes(),
+                        "tangential invariant class present on only one side"),
+    "phi_hat": ("S1xHP2", _classes(phi_hat=lambda c: c.zero_f2(5)),
+                "tangential invariant class not preserved"),
+    "omega_pc_missing": ("M3_sum", _classes(),
+                         "supplied obstruction coset present on only one side"),
+    "omega_pc": ("M3_sum", _classes(omega_pc=lambda c: c.zero_f2(8)),
+                 "supplied obstruction coset not preserved"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISO_FAULTS))
+def test_verify_iso_rejects_each_broken_identity(case):
+    """A based copy and its correspondence pass; one perturbed map or field
+    is rejected with the message of the identity it breaks."""
+    name, perturb, message = ISO_FAULTS[case]
+    a = _with_supplied_coset(name) if name == "M3_sum" else library(name)
+    f2m, f2i, zm, zi = random_model_iso(a, np.random.default_rng(404))
+    b = transform_model(a, f2m, f2i, zm, zi)
+    iso = GradedIso(f2_maps=f2m, z_maps=zm, z_inv_maps=zi)
+    _verify_iso(a, b, iso)
+    with pytest.raises(IsoRejected, match=message):
+        _verify_iso(a, *perturb(b, iso))
 
 
 def test_s4xs5_contact_but_m1_not():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from contact9.cli import EXIT_CODES, main
 from contact9.complexes import rp2_6, sphere
 from contact9.library import LIBRARY_NAMES, library, synthetic_spinc_models
 from contact9.model import from_simplicial
@@ -105,3 +106,22 @@ def test_omega_pc_determined_flag():
     doc["omega_pc"] = {"determined": True, "representative": [1]}
     m = parse_model(json.dumps(doc))
     assert m.omega_pc is not None and m.omega_pc.bits == (1,)
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("sq", 257, r"sq\.2\.2"),
+    ("cup2", 3, r"cup2\[\d+\]\.value"),
+])
+def test_parse_rejects_non_binary_mod2_entries(field, value, where, tmp_path, capsys):
+    """Steenrod-square entries and mod-2 product values are 0 or 1; a value
+    that would wrap or be stored unreduced is a schema error (exit 6)."""
+    doc = json.loads(emit_model(library("S1xCP4")))
+    if field == "sq":
+        doc["sq"]["2"]["2"] = [[value]]
+    else:
+        doc["cup2"][-1]["value"][0] = value
+    with pytest.raises(SchemaError, match=where):
+        parse_model(json.dumps(doc))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_CODES["parse_error"]
