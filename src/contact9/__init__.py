@@ -24,7 +24,7 @@ from .charclasses import (
 )
 from .decider import (
     Verdict, Outcome, ObstructionStage, MissingDatum, GradedIso,
-    decide, decide_connected_sum, evaluate_omega_pc,
+    Analysis, analyse, decide, decide_connected_sum, evaluate_omega_pc,
     homotopy_invariance_check, check_w7_theorem,
 )
 
@@ -41,6 +41,6 @@ __all__ = [
     "coset_reduce", "half_product", "half_product_solutions",
     "sigma_w4", "spinc_data",
     "Verdict", "Outcome", "ObstructionStage", "MissingDatum", "GradedIso",
-    "decide", "decide_connected_sum", "evaluate_omega_pc",
+    "Analysis", "analyse", "decide", "decide_connected_sum", "evaluate_omega_pc",
     "homotopy_invariance_check", "check_w7_theorem",
 ]

@@ -163,13 +163,13 @@ def sw_from_wu(m: CohomologyModel, wu: dict) -> dict:
     return w
 
 
-def sw_classes(model) -> SWClasses:
-    """Stiefel-Whitney classes via the Wu formula, plus the integral classes
-    in degrees 3 and 7; 9-dimensional models must satisfy
-    ``nine_manifold_identities``."""
+def sw_classes(model, wu: WuClasses | None = None) -> SWClasses:
+    """Stiefel-Whitney classes via the Wu formula (from the caller's Wu
+    classes, or solved here), plus the integral classes in degrees 3 and 7;
+    9-dimensional models must satisfy ``nine_manifold_identities``."""
     m = _cohomology(model)
     n = m.dimension
-    w = sw_from_wu(m, wu_classes(model).by_degree)
+    w = sw_from_wu(m, (wu or wu_classes(model)).by_degree)
     if n == 9:
         broken = nine_manifold_identities(m, w)
         if broken:
@@ -272,10 +272,7 @@ def bockstein_kernel_subspace(m: CohomologyModel, degree: int) -> f2.Subspace:
 def sq2_image_subspace(m: CohomologyModel, degree: int = 6) -> f2.Subspace:
     """Sq^2 of the integrally liftable part of H^degree, inside H^{degree+2}."""
     kernel = bockstein_kernel_subspace(m, degree)
-    vecs = []
-    for row in kernel.basis:
-        img = m.sq_map(2, m.f2(degree, row))
-        vecs.append(img.vec())
+    vecs = [m.sq_map(2, m.f2(degree, row)).vec() for row in kernel.basis]
     return f2.Subspace(vecs, ambient_dim=m.f2_dim(degree + 2))
 
 
@@ -301,14 +298,8 @@ def compute_dm(model, sw: SWClasses | None = None) -> f2.Subspace:
     m = _cohomology(model)
     w2 = (sw or sw_classes(model)).w[2]
     dim1 = m.f2_dim(1)
-    dim3 = m.f2_dim(3)
-    mul = f2.zeros(dim3, dim1)
-    for c, e in enumerate(m.basis_f2(1)):
-        mul[:, c] = m.cup(e, w2).vec()
-    torsion_cols = [
-        m.rho2[3][:, m.piece(3).z_rank + t] for t in range(len(m.piece(3).z_torsion))
-    ]
-    torsion_image = f2.Subspace(torsion_cols, ambient_dim=dim3)
+    mul = (np.einsum("xyz,y->zx", m.cup_tensor(1, 2), w2.vec(), dtype=np.int64) & 1).astype(np.uint8)
+    torsion_image = f2.Subspace(list(m.rho2[3][:, m.piece(3).z_rank:].T), ambient_dim=m.f2_dim(3))
     if torsion_image.dim:
         aug = np.concatenate([mul, torsion_image.basis.T], axis=1)
     else:
@@ -330,10 +321,7 @@ def annihilator_subspace(m: CohomologyModel) -> f2.Subspace:
     vecs = [m.sq_map(2, m.f2(6, row)).vec() for row in image.basis]
     sq2img = f2.Subspace(vecs, ambient_dim=m.f2_dim(8))
     dim1 = m.f2_dim(1)
-    rows = []
-    for vec in sq2img.basis:
-        z = m.f2(8, vec)
-        rows.append([m.pair(e, z) for e in m.basis_f2(1)])
+    rows = [[m.pair(e, m.f2(8, vec)) for e in m.basis_f2(1)] for vec in sq2img.basis]
     if not rows:
         return f2.Subspace(list(np.eye(dim1, dtype=np.uint8)), ambient_dim=dim1)
     return f2.Subspace(list(f2.nullspace(np.asarray(rows, dtype=np.uint8))), ambient_dim=dim1)

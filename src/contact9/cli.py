@@ -25,12 +25,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .charclasses import (
-    ModelInvariantError, PreconditionError, compute_dm, spinc_data, sw_classes, wu_classes,
-)
-from .decider import (
-    Outcome, ValidationFailedError, decide, decide_connected_sum,
-)
+from .charclasses import ModelInvariantError, PreconditionError, spinc_data, sw_classes, wu_classes
+from .decider import Outcome, ValidationFailedError, analyse, decide, decide_connected_sum
 from .library import LIBRARY_NAMES, library
 from .model import ManifoldModel, validate
 from .schema import SchemaError, canonical_json, emit_model, parse_model
@@ -127,10 +123,19 @@ def _verdict_dict(v) -> dict:
 
 
 def _classes_dict(model) -> dict:
+    """The class report of a model: an orientable 9-manifold model's comes
+    from its analysis; any other model is validated and its classes solved."""
     manifold = isinstance(model, ManifoldModel)
     m = model.cohomology if manifold else model
-    wu = wu_classes(model)
-    sw = sw_classes(model)
+    analysis = analyse(model) if manifold and m.orientable else None
+    if analysis is None:
+        rep = validate(model)
+        if not rep.ok:
+            raise ValidationFailedError(rep)
+        wu = wu_classes(model)
+        sw = sw_classes(model, wu)
+    else:
+        wu, sw = analysis.wu, analysis.sw
     out = {
         "label": (model.label if manifold else "") or m.label,
         "v2": list(map(int, wu.v2.bits)),
@@ -139,9 +144,8 @@ def _classes_dict(model) -> dict:
         "W3": list(map(int, sw.W3.coords)),
         "W7": list(map(int, sw.W7.coords)),
     }
-    if manifold:
-        dm = compute_dm(model, sw)
-        out["dm_basis"] = [list(map(int, row)) for row in dm.basis]
+    if analysis is not None:
+        out["dm_basis"] = [list(map(int, row)) for row in analysis.dm.basis]
         if sw.W3.is_zero() and not sw.w[2].is_zero():
             data = spinc_data(model, sw)
             out["spinc"] = {
@@ -153,9 +157,12 @@ def _classes_dict(model) -> dict:
 
 
 def _decide_with_stability(model, seed, samples):
-    base = decide(model)
+    """Decide once with the canonical choices and ``samples`` more times with
+    seeded ones, all on one analysis; the verdicts must agree."""
+    analysis = analyse(model)
+    base = decide(analysis)
     for k in range(samples):
-        again = decide(model, seed=seed + k)
+        again = decide(analysis, seed=seed + k)
         if not base.agrees_with(again) or base.obstruction != again.obstruction:
             raise ModelInvariantError(
                 "verdict changed under internal choice re-randomization; engine bug"
@@ -204,9 +211,6 @@ def run(cmd: Command):
         elif cmd.verb == "classes":
             model, digest, name = _load_input(cmd.inputs[0], need_manifold=False)
             report["inputs"].append({"name": name, "digest": digest})
-            rep = validate(model)
-            if not rep.ok:
-                raise ValidationFailedError(rep)
             report["results"].append(_classes_dict(model))
         elif cmd.verb == "decide":
             model, digest, name = _load_input(cmd.inputs[0])

@@ -18,7 +18,6 @@ from math import gcd
 
 import numpy as np
 
-from . import intlinalg
 from .intlinalg import safe_matmul, snf, SNF
 from .simplicial import Cochain, SimplicialComplex, coboundary, coboundary_matrix, cup, cup_i
 
@@ -196,9 +195,6 @@ class Cohomology:
 
     def groups(self, modulus: int) -> list[GradedGroup]:
         return [self.group(modulus, d) for d in range(self.complex.dimension + 1)]
-
-    def dim_f2(self, degree: int) -> int:
-        return len(self.group(2, degree).torsion)
 
     # -- classes -------------------------------------------------------
 

@@ -17,15 +17,15 @@ import numpy as np
 
 from . import f2
 from .charclasses import (
-    CosetH8, ModelInvariantError, PreconditionError, SWClasses,
+    CosetH8, ModelInvariantError, PreconditionError, SWClasses, WuClasses,
     bockstein_vanishes_on, compute_dm, coset_reduce, half_product_solutions,
-    integral_lift, sigma_w4, spinc_data, sw_classes, zero_coset,
+    integral_lift, sigma_w4, spinc_data, sq2_image_subspace, sw_classes,
 )
 from .model import CohomologyModel, ManifoldModel, ZClass, _reduce_rows, connected_sum, validate
 
 __all__ = [
     "Outcome", "ObstructionStage", "MissingDatum", "Trail", "Verdict",
-    "ValidationFailedError", "GradedIso",
+    "ValidationFailedError", "GradedIso", "Analysis", "analyse",
     "evaluate_omega_pc", "decide", "decide_connected_sum",
     "check_w7_theorem", "homotopy_invariance_check",
 ]
@@ -90,7 +90,32 @@ class Verdict:
         return f"{self.label or 'model'}: {self.outcome.value}{tail}"
 
 
-def _require_valid(model: ManifoldModel) -> CohomologyModel:
+@dataclass(frozen=True)
+class Analysis:
+    """The facts of one validated model that involve no choice: its Wu and
+    Stiefel-Whitney classes (with W3 and W7), the degree-one subspace D_M and
+    the subspace Sq^2(rho2 H^6) of H^8 that the degree-8 coset lives modulo.
+
+    Built once by ``analyse`` and passed explicitly; every run of the
+    decision procedure on it repeats only the choice of integral lifts and
+    half products.
+    """
+
+    model: ManifoldModel
+    wu: WuClasses
+    sw: SWClasses
+    dm: f2.Subspace
+    sq2_image: f2.Subspace
+
+    def coset(self, x) -> CosetH8:
+        """The degree-8 coset represented by x."""
+        return CosetH8(x, self.sq2_image)
+
+
+def analyse(model: ManifoldModel) -> Analysis:
+    """Validate a 9-manifold model once and derive its choice-free facts;
+    raises ``ValidationFailedError`` on an invalid model and
+    ``PreconditionError`` outside the procedure's scope."""
     report = validate(model)
     if not report.ok:
         raise ValidationFailedError(report)
@@ -99,51 +124,53 @@ def _require_valid(model: ManifoldModel) -> CohomologyModel:
         raise PreconditionError("the decision procedure handles 9-manifolds")
     if not m.orientable:
         raise PreconditionError("the decision procedure needs an orientable model")
-    return m
+    wu = WuClasses(by_degree=report.wu)
+    sw = sw_classes(model, wu)
+    return Analysis(model, wu, sw, compute_dm(model, sw), sq2_image_subspace(m, 6))
 
 
-def evaluate_omega_pc(model: ManifoldModel, sw: SWClasses | None = None, rng=None) -> CosetH8 | None:
+def _analysis(model: ManifoldModel | Analysis) -> Analysis:
+    return model if isinstance(model, Analysis) else analyse(model)
+
+
+def evaluate_omega_pc(model: ManifoldModel | Analysis, *, rng=None) -> CosetH8 | None:
     """The degree-8 obstruction coset, when the theory or the data determine it.
 
     Branches: spin models evaluate to the class of w8 (the reduction subspace
     is zero there); w4 = 0 forces the zero coset; when the Bockstein vanishes
     on the relevant degree-one subspace the coset is [w8 - rho2(cv/2)] for
     integral lifts c, v of w2, w6; otherwise the externally supplied value is
-    used, or None is returned.
+    used, or None is returned.  Only the lifts and the half product depend on
+    ``rng``.
     """
-    m = model.cohomology
-    sw = sw or sw_classes(model)
+    a = _analysis(model)
+    model, m, sw = a.model, a.model.cohomology, a.sw
     if not sw.W3.is_zero():
         raise PreconditionError("the degree-8 coset needs a vanishing degree-3 integral class")
     if sw.w[2].is_zero():
-        return coset_reduce(sw.w[8], model)
+        return a.coset(sw.w[8])
     if sw.w[4].is_zero():
-        return zero_coset(model)
-    dm = compute_dm(model, sw)
-    if bockstein_vanishes_on(m, dm):
+        return a.coset(m.zero_f2(8))
+    if bockstein_vanishes_on(m, a.dm):
         data = spinc_data(model, sw, rng=rng)
-        cosets = set()
-        for d in half_product_solutions(data.c, data.v, model):
-            rep = sw.w[8] + m.rho2_map(d)
-            cosets.add(coset_reduce(rep, model))
+        cosets = {a.coset(sw.w[8] + m.rho2_map(d)) for d in half_product_solutions(data.c, data.v, model)}
         if len(cosets) != 1:
             raise ModelInvariantError(
                 "degree-8 coset depends on the half-product choice; contradicts well-definedness"
             )
         return cosets.pop()
     if model.omega_pc is not None:
-        return coset_reduce(model.omega_pc, model)
+        return a.coset(model.omega_pc)
     return None
 
 
-def check_w7_theorem(model: ManifoldModel) -> bool:
+def check_w7_theorem(model: ManifoldModel | Analysis) -> bool:
     """Three equivalent forms of the degree-7 vanishing statement, computed
     independently; they must agree (their disagreement is an engine bug)."""
-    m = _require_valid(model)
-    sw = sw_classes(model)
-    if not sw.W3.is_zero():
+    a = _analysis(model)
+    if not a.sw.W3.is_zero():
         raise PreconditionError("the degree-7 vanishing statement assumes the degree-3 class vanishes")
-    return _w7_vanishes(m, sw)
+    return _w7_vanishes(a.model.cohomology, a.sw)
 
 
 def _w7_vanishes(m: CohomologyModel, sw: SWClasses) -> bool:
@@ -166,17 +193,18 @@ def _w7_vanishes(m: CohomologyModel, sw: SWClasses) -> bool:
     return via_bockstein
 
 
-def decide(model: ManifoldModel, seed: int | None = None) -> Verdict:
+def decide(model: ManifoldModel | Analysis, seed: int | None = None) -> Verdict:
     """Decide existence of an (over-twisted) contact structure.
 
     With ``seed`` the internal choices (integral lifts, half products) are
     randomized inside their allowed sets; the verdict must not change, which
-    is what the choice-independence suites verify.
+    is what the choice-independence suites verify.  Given an ``Analysis``,
+    the model is not validated or analysed again.
     """
-    m = _require_valid(model)
+    a = _analysis(model)
+    model, m, sw = a.model, a.model.cohomology, a.sw
     rng = np.random.default_rng(seed) if seed is not None else None
     label = model.label or m.label
-    sw = sw_classes(model)
 
     trail = Trail(o3=sw.W3)
     if not sw.W3.is_zero():
@@ -193,7 +221,7 @@ def decide(model: ManifoldModel, seed: int | None = None) -> Verdict:
     trail.o7 = m.zero_z(7)
 
     spin = sw.w[2].is_zero()
-    omega = evaluate_omega_pc(model, sw, rng=rng)
+    omega = evaluate_omega_pc(a, rng=rng)
     trail.o8 = omega
 
     if spin:
@@ -243,14 +271,11 @@ def decide(model: ManifoldModel, seed: int | None = None) -> Verdict:
 def decide_connected_sum(a: ManifoldModel, b: ManifoldModel, seed: int | None = None) -> Verdict:
     """Verdict for the connected sum computed from the summands' invariants,
     cross-checked against deciding the assembled sum whenever both sides are
-    determined."""
-    ma = _require_valid(a)
-    mb = _require_valid(b)
-    sw_a = sw_classes(a)
-    sw_b = sw_classes(b)
-    label = f"{a.label or ma.label}#{b.label or mb.label}"
+    determined.  Each summand and the sum are analysed once."""
+    aa, ab = analyse(a), analyse(b)
+    label = f"{a.label or a.cohomology.label}#{b.label or b.cohomology.label}"
 
-    verdict = _sum_verdict_from_clauses(a, b, sw_a, sw_b, label, seed)
+    verdict = _sum_verdict_from_clauses(aa, ab, label, seed)
 
     direct = decide(connected_sum(a, b), seed=seed)
     if (
@@ -264,7 +289,8 @@ def decide_connected_sum(a: ManifoldModel, b: ManifoldModel, seed: int | None = 
     return verdict
 
 
-def _sum_verdict_from_clauses(a, b, sw_a, sw_b, label, seed) -> Verdict:
+def _sum_verdict_from_clauses(a: Analysis, b: Analysis, label, seed) -> Verdict:
+    sw_a, sw_b = a.sw, b.sw
     trail = Trail(o3=_direct_sum_class(sw_a.W3, sw_b.W3))
     if not (sw_a.W3.is_zero() and sw_b.W3.is_zero()):
         return Verdict(
@@ -279,8 +305,8 @@ def _sum_verdict_from_clauses(a, b, sw_a, sw_b, label, seed) -> Verdict:
                 Outcome.NO_CONTACT, ObstructionStage.W8, None, trail,
                 witness="a summand has nonzero w8", label=label,
             )
-        sig_a = sigma_w4(a, sw_a)
-        sig_b = sigma_w4(b, sw_b)
+        sig_a = sigma_w4(a.model, sw_a)
+        sig_b = sigma_w4(b.model, sw_b)
         if sig_a is None or sig_b is None:
             return Verdict(
                 Outcome.UNDETERMINED, None, MissingDatum.PHI_HAT, trail,
@@ -293,8 +319,7 @@ def _sum_verdict_from_clauses(a, b, sw_a, sw_b, label, seed) -> Verdict:
             )
         return Verdict(Outcome.CONTACT, None, None, trail, witness="clause for two spin summands", label=label)
     if spin_a or spin_b:
-        spin_model, spin_sw = (a, sw_a) if spin_a else (b, sw_b)
-        other, other_sw = (b, sw_b) if spin_a else (a, sw_a)
+        spin_sw, other = (sw_a, b) if spin_a else (sw_b, a)
         if not spin_sw.w[8].is_zero():
             return Verdict(
                 Outcome.NO_CONTACT, ObstructionStage.O8, None, trail,
@@ -302,7 +327,7 @@ def _sum_verdict_from_clauses(a, b, sw_a, sw_b, label, seed) -> Verdict:
             )
         sub = decide(other, seed=seed)
         return Verdict(sub.outcome, sub.obstruction, sub.missing, trail,
-                       witness=f"inherited from {other.label}", label=label)
+                       witness=f"inherited from {other.model.label}", label=label)
     va = decide(a, seed=seed)
     vb = decide(b, seed=seed)
     for v in (va, vb):

@@ -17,7 +17,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .model import (
-    CohomologyModel, F2Class, GradedPiece, ManifoldModel, _tensor_model,
+    CohomologyModel, GradedPiece, ManifoldModel, _tensor_model,
     build_product, connected_sum,
 )
 

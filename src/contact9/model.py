@@ -227,17 +227,6 @@ class CohomologyModel:
         d = self.z_gens(i)
         return [self.z(i, [1 if k == j else 0 for k in range(d)]) for j in range(d)]
 
-    def z_add(self, a: ZClass, b: ZClass) -> ZClass:
-        if a.degree != b.degree:
-            raise ValueError("degree mismatch")
-        return self.z(a.degree, [x + y for x, y in zip(a.coords, b.coords)])
-
-    def z_scale(self, k: int, a: ZClass) -> ZClass:
-        return self.z(a.degree, [k * x for x in a.coords])
-
-    def z_sub(self, a: ZClass, b: ZClass) -> ZClass:
-        return self.z_add(a, self.z_scale(-1, b))
-
     # -- operation tensors --------------------------------------------------
 
     def sq_matrix(self, k: int, i: int) -> np.ndarray:
@@ -308,13 +297,6 @@ class CohomologyModel:
         if self.f2_dim(self.dimension) != 1:
             raise ValueError("top mod-2 group is not one-dimensional")
         return int(a.bits[0])
-
-    def eval_top_z(self, a: ZClass) -> int:
-        if not self.orientable:
-            raise ValueError("integral fundamental class needs an orientable model")
-        if a.degree != self.dimension:
-            raise ValueError("only top-degree classes pair with the fundamental class")
-        return int(a.coords[0])
 
     def pair(self, a: F2Class, b: F2Class) -> int:
         return self.eval_top(self.cup(a, b))
@@ -392,6 +374,7 @@ class Violation:
 @dataclass
 class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
+    wu: dict | None = None  # Wu classes by degree, once the nine-manifold check has solved them
 
     @property
     def ok(self) -> bool:
@@ -573,6 +556,7 @@ def _nine_manifold_checks(m: CohomologyModel, rep: ValidationReport):
     except WuSolveError as e:
         rep.add("wu_solvable", None, str(e))
         return
+    rep.wu = wu
     for k, v in wu.items():
         if k not in (2, 4) and not v.is_zero():
             rep.add("wu_vanishing", k, f"Wu class in degree {k} is nonzero")
@@ -589,14 +573,15 @@ def _carry(t: np.ndarray, left, right, out) -> np.ndarray:
     return right.T @ (left.T @ t.reshape(a, b * z)).reshape(left.shape[1], b, z) @ out.T
 
 
-def _push(m: CohomologyModel, F, G, Z, H):
+def _push(m: CohomologyModel, F, G, Z, H, units: bool = True):
     """Every operation tensor of m carried along per-degree linear maps.
 
     ``F[d]`` sends mod-2 coordinates of degree d forward and ``G[d]`` brings
     them back; ``Z[d]`` and ``H[d]`` do the same for integral coordinates.
     Returns (rho2, beta, sq, cup2, cup_int): F rho2 H, F Sq G and the mod-2
     products mod 2; Z beta G and the integral products in exact integers,
-    not reduced modulo the generator orders.
+    not reduced modulo the generator orders.  Without ``units`` the product
+    tensors of the pairs (0, j) and (j, 0) are left out.
     """
     n = m.dimension
     F, G = ([np.asarray(x[d], dtype=np.int64) for d in range(n + 1)] for x in (F, G))
@@ -605,8 +590,9 @@ def _push(m: CohomologyModel, F, G, Z, H):
     beta = [Z[d + 1].dot(m.beta[d].astype(object)).dot(G[d].astype(object)) for d in range(n)]
     beta.append(np.zeros((0, G[n].shape[1]), dtype=object))
     sq = {(k, d): _f2_einsum("ab,bc,cd->ad", F[d + k], t, G[d]) for (k, d), t in m.sq.items()}
-    cup2 = {(i, j): _carry(t, G[i], G[j], F[i + j]) & 1 for (i, j), t in m.cup2.items() if i + j <= n}
-    cup_int = {(i, j): _carry(t, H[i], H[j], Z[i + j]) for (i, j), t in m.cup_int.items() if i + j <= n}
+    keep = {(i, j) for i in range(n + 1) for j in range(n + 1 - i) if units or (i and j)}
+    cup2 = {(i, j): _carry(t, G[i], G[j], F[i + j]) & 1 for (i, j), t in m.cup2.items() if (i, j) in keep}
+    cup_int = {(i, j): _carry(t, H[i], H[j], Z[i + j]) for (i, j), t in m.cup_int.items() if (i, j) in keep}
     return rho2, beta, sq, cup2, cup_int
 
 
@@ -744,7 +730,7 @@ def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
         torsion = orders[order][orders[order] > 0]
         pieces.append(GradedPiece(len(orders) - len(torsion), tuple(torsion.tolist()), names))
     (rho2_a, beta_a, sq, cup2_a, int_a), (rho2_b, beta_b, sq_b, cup2_b, int_b) = (
-        _push(m, f, [x.T for x in f], z, [x.T for x in z]) for m, f, z in ((ma, fa, za), (mb, fb, zb))
+        _push(m, f, [x.T for x in f], z, [x.T for x in z], units=False) for m, f, z in ((ma, fa, za), (mb, fb, zb))
     )
 
     # both factor units/orientations map to the single fused generator
@@ -754,9 +740,10 @@ def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
     for key, t in sq_b.items():
         sq[key] = sq[key] ^ t if key in sq else t
 
-    # products: unit pairs act as the identity; other pairs add the summands'
-    # images, which are disjoint (cross products between the summands vanish,
-    # products into the top degree land on the fused orientation class)
+    # products: unit pairs act as the identity (so their images are not
+    # carried); other pairs add the summands' images, which are disjoint
+    # (cross products between the summands vanish, products into the top
+    # degree land on the fused orientation class)
     def unit_or_sum(i, j, shape, tables, dtype):
         if i == 0:
             return np.eye(shape[1], dtype=dtype)[None]

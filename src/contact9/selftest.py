@@ -14,16 +14,16 @@ import numpy as np
 
 from . import f2
 from .charclasses import (
-    bockstein_vanishes_on, compute_dm, coset_reduce,
+    bockstein_vanishes_on, compute_dm,
     reduction_image_subspace, bockstein_kernel_subspace, sq2_image_subspace,
     sw_classes, spinc_data, half_product_solutions,
 )
 from .cohomology import Cohomology
 from .complexes import cp2_9, random_complex, rp2_6, sphere, torus_7
-from .decider import check_w7_theorem, decide
+from .decider import ValidationFailedError, analyse, check_w7_theorem, decide
 from .library import corpus, synthetic_spinc_models
 from .model import from_simplicial, random_model_iso, transform_model, validate
-from .simplicial import Cochain, coboundary, cup, cup_i
+from .simplicial import Cochain, coboundary, cup_i
 
 __all__ = ["SuiteResult", "run_selftest", "ALL_SUITES"]
 
@@ -211,24 +211,25 @@ def choice_independence_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_S
     cases = 0
     models = [m for m in corpus() + synthetic_spinc_models()]
     for model in models:
-        base = decide(model)
+        analysis = analyse(model)
+        base = decide(analysis)
         for _ in range(max(1, samples // 4)):
             cases += 1
-            other = decide(model, seed=int(rng.integers(0, 2**31)))
+            other = decide(analysis, seed=int(rng.integers(0, 2**31)))
             if not base.agrees_with(other) or base.obstruction != other.obstruction:
                 return SuiteResult(
                     "choice_independence", False, cases,
                     f"{model.label}: verdict changed under internal re-randomization",
                 )
-        sw = sw_classes(model)
+        sw = analysis.sw
         if sw.W3.is_zero() and not sw.w[2].is_zero() and not sw.w[4].is_zero():
-            if bockstein_vanishes_on(model.cohomology, compute_dm(model, sw)):
+            if bockstein_vanishes_on(model.cohomology, analysis.dm):
                 reference = None
                 for _ in range(samples):
                     data = spinc_data(model, sw, rng=rng)
                     for d in half_product_solutions(data.c, data.v, model):
                         cases += 1
-                        coset = coset_reduce(sw.w[8] + model.cohomology.rho2_map(d), model)
+                        coset = analysis.coset(sw.w[8] + model.cohomology.rho2_map(d))
                         if reference is None:
                             reference = coset
                         elif coset != reference:
@@ -252,13 +253,13 @@ def w7_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> SuiteR
         pool.append(transform_model(src, *maps))
     for model in pool:
         cases += 1
-        rep = validate(model)
-        if not rep.ok:
-            return SuiteResult("w7", False, cases, f"{model.label}: mutation failed validation: {rep}")
-        if not check_w7_theorem(model):
+        try:
+            analysis = analyse(model)
+        except ValidationFailedError as e:
+            return SuiteResult("w7", False, cases, f"{model.label}: mutation failed validation: {e.report}")
+        if not check_w7_theorem(analysis):
             return SuiteResult("w7", False, cases, f"{model.label}: degree-7 integral class nonzero")
-        sw = sw_classes(model)
-        if not sw.w[7].is_zero():
+        if not analysis.sw.w[7].is_zero():
             return SuiteResult("w7", False, cases, f"{model.label}: w7 nonzero")
     return SuiteResult("w7", True, cases)
 

@@ -90,9 +90,6 @@ class SimplicialComplex:
     def n_simplices(self, d: int) -> int:
         return len(self.simplices(d))
 
-    def has_simplex(self, s: tuple) -> bool:
-        return s in self.simplex_index(len(s) - 1)
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.n_simplices(d) for d in range(self.dimension + 1))
 

@@ -240,9 +240,9 @@ def test_undecodable_document_is_a_parse_error(tmp_path):
     assert "UTF-8" in json.loads(out)["warnings"][0]
 
 
-def test_classes_solves_the_wu_system_three_times(monkeypatch):
-    """validate, wu_classes and sw_classes each solve the nine Wu degrees
-    once; compute_dm reuses the caller's Stiefel-Whitney classes."""
+def test_classes_solves_the_wu_system_once(monkeypatch):
+    """validate solves the nine Wu degrees, and the analysis built on its
+    report reuses them for the Stiefel-Whitney classes and D_M."""
     from contact9 import charclasses
 
     calls = []
@@ -250,4 +250,37 @@ def test_classes_solves_the_wu_system_three_times(monkeypatch):
     monkeypatch.setattr(charclasses, "solve_wu_degree", lambda m, k: calls.append(k) or solve(m, k))
     code, _ = run(Command("classes", ["library:S1xCP4"]))
     assert code == 0
-    assert len(calls) == 27
+    assert len(calls) == 9
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record the keyword arguments of every call of ``module.name``, made
+    through any contact9 module that binds it."""
+    import sys
+
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("contact9") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_decide_analyses_once_and_reruns_only_the_lifts(monkeypatch):
+    """One validation and nine Wu solves per CLI decide; the base run and
+    the twenty seeded samples share them, and each seeded sample still draws
+    its own lifts."""
+    from contact9 import charclasses, model
+
+    validations = _count_calls(monkeypatch, model, "validate")
+    solves = _count_calls(monkeypatch, charclasses, "solve_wu_degree")
+    lifts = _count_calls(monkeypatch, charclasses, "spinc_data")
+    code, _ = run(Command("decide", ["library:M3_sum"]))
+    assert code == EXIT_CODES["no_contact"]
+    assert len(validations) == 1
+    assert len(solves) == 9
+    assert sum(kw.get("rng") is not None for kw in lifts) == 20

@@ -10,7 +10,7 @@ from contact9 import f2
 from contact9.charclasses import PreconditionError, sw_classes
 from contact9.decider import (
     GradedIso, IsoRejected, MissingDatum, ObstructionStage, Outcome,
-    ValidationFailedError, _verify_iso, check_w7_theorem, decide, decide_connected_sum,
+    ValidationFailedError, _verify_iso, analyse, check_w7_theorem, decide, decide_connected_sum,
     evaluate_omega_pc, homotopy_invariance_check,
 )
 from contact9.library import LIBRARY_NAMES, base_models, library, synthetic_spinc_models
@@ -97,7 +97,7 @@ def test_omega_pc_w4_zero_branch():
     m = library("S1xCP4")
     sw = sw_classes(m)
     assert not sw.w[2].is_zero() and sw.w[4].is_zero()
-    assert evaluate_omega_pc(m, sw).is_zero()
+    assert evaluate_omega_pc(analyse(m)).is_zero()
 
 
 def test_undetermined_phi_hat():
