@@ -1,12 +1,15 @@
 """Cohomology groups and class-level operations of a finite simplicial complex.
 
-Integral groups come from Smith normal forms of the coboundary matrices.
-Groups with Z/2^j coefficients come from the same integral machinery applied
-to the lattice of cochains whose coboundary vanishes mod 2^j, so no floating
-point or probabilistic step is involved anywhere.
+Each coboundary C^d -> C^{d+1} is factorised once, by a column-side Smith
+normal form U delta V = D.  The cocycle lattice (the kernel over Z; over
+Z/2^j the cochains whose coboundary vanishes mod 2^j) has a basis of scaled
+columns of V, so V^-1 gives lattice coordinates with no further
+factorisation.  One row-side SNF per group, of the relations (coboundaries,
+and over Z/2^j also 2^j times every cochain) in those coordinates, gives the
+orders and the generators.  All arithmetic is exact integer arithmetic.
 
-Every computed group carries explicit representative cocycles, and cochains
-can be converted back to coordinates, which is what makes the class-level
+Every computed group carries explicit representative cocycles, and cocycles
+convert back to generator coordinates, which is what makes the class-level
 operations (cup, Steenrod squares, Bocksteins, coefficient reductions) exact
 and testable.
 """
@@ -18,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .intlinalg import safe_matmul, snf, SNF
+from .intlinalg import SNF, safe_matmul, snf_columns, snf_rows
 from .simplicial import Cochain, SimplicialComplex, coboundary, coboundary_matrix, cup, cup_i
 
 __all__ = ["GradedGroup", "CohomologyClass", "Cohomology", "cohomology"]
@@ -65,11 +68,13 @@ class CohomologyClass:
 
 @dataclass
 class _DegreeData:
+    """A group; a cocycle x has lattice coordinates ``coords @ x / scale``."""
+
     group: GradedGroup
-    basis_matrix: np.ndarray          # columns: adapted lattice basis of the cocycle lattice
-    basis_snf: SNF | None
-    orders: list[int]                 # per column: 0 free, t >= 1 (1 = killed)
-    gen_cols: list[int]               # public generator order (free first, torsion ascending)
+    coords: np.ndarray                # rows: the kept rows of the coboundary SNF's V^-1
+    scale: np.ndarray                 # column: per lattice coordinate, its divisor
+    adapt: np.ndarray                 # the relation SNF's U: lattice to adapted coordinates
+    gen_cols: list[int]               # adapted coordinates of the generators, in public order
 
 
 def _np_coboundary(x: SimplicialComplex, d: int) -> np.ndarray:
@@ -80,23 +85,20 @@ def _np_coboundary(x: SimplicialComplex, d: int) -> np.ndarray:
     return np.asarray(coboundary_matrix(x, d), dtype=np.int64)
 
 
-def _solve_columns(res: SNF, rhs: np.ndarray) -> np.ndarray:
-    """Solve A X = rhs column-wise through a precomputed SNF; asserts solvability."""
-    rows, cols = res.d.shape
-    c = safe_matmul(res.u, rhs)
-    y = np.zeros((cols, rhs.shape[1]), dtype=c.dtype)
-    for i in range(rows):
-        di = int(res.d[i, i]) if i < min(rows, cols) else 0
-        if di == 0:
-            if np.any(c[i, :] != 0):
-                raise ArithmeticError("inconsistent lattice system")
-        else:
-            row = c[i, :]
-            if np.any(row % di != 0):
-                raise ArithmeticError("lattice system not solvable over the integers")
-            if i < cols:
-                y[i, :] = row // di
-    return safe_matmul(res.v, y)
+def _divide_rows(y: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Exact quotient of row i of ``y`` by ``scale[i]``."""
+    s = scale.astype(y.dtype)
+    q = y // s
+    if np.any(q * s != y):
+        raise ArithmeticError("cochain is not in the cocycle lattice")
+    return q
+
+
+def _scale_rows(mat: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Exact ``factors * mat`` for a column of factors, on Python ints if int64 could wrap."""
+    if mat.dtype != object and (not mat.size or int(np.abs(mat).max()) * int(factors.max()) < (1 << 62)):
+        return factors * mat
+    return factors.astype(object) * mat.astype(object)
 
 
 class Cohomology:
@@ -116,8 +118,9 @@ class Cohomology:
         return self._delta[d]
 
     def delta_snf(self, d: int) -> SNF:
+        """Column-side SNF of the coboundary C^d -> C^{d+1}."""
         if d not in self._delta_snf:
-            self._delta_snf[d] = snf(self.delta(d))
+            self._delta_snf[d] = snf_columns(self.delta(d))
         return self._delta_snf[d]
 
     # -- group construction -------------------------------------------
@@ -132,63 +135,45 @@ class Cohomology:
         x = self.complex
         n_d = x.n_simplices(degree)
         if n_d == 0:
-            group = GradedGroup(degree, 0, (), ())
-            return _DegreeData(group, np.zeros((0, 0), dtype=np.int64), None, [], [])
+            empty = np.zeros((0, 0), dtype=np.int64)
+            return _DegreeData(GradedGroup(degree, 0, (), ()), empty, empty, empty, [])
 
+        res = self.delta_snf(degree)
+        below = self.delta(degree - 1) if degree > 0 else np.zeros((n_d, 0), dtype=np.int64)
         if modulus == 0:
-            # saturated kernel lattice of the coboundary
-            res = self.delta_snf(degree)
-            lattice = np.asarray(res.v[:, res.rank :])
-            relations = self.delta(degree - 1) if degree > 0 else np.zeros((n_d, 0), dtype=np.int64)
+            # saturated kernel lattice of the coboundary: the last columns of V
+            keep = slice(res.rank, None)
+            scale = np.ones((n_d - res.rank, 1), dtype=np.int64)
         else:
-            # lattice of integer cochains whose coboundary vanishes mod 2^j
-            res = self.delta_snf(degree)
-            cols = []
-            rows, colsn = res.d.shape
-            for i in range(colsn):
-                di = int(res.d[i, i]) if i < min(rows, colsn) else 0
-                scale = modulus // gcd(di, modulus) if i < res.rank else 1
-                cols.append(np.asarray(res.v[:, i]) * scale)
-            lattice = np.stack(cols, axis=1)
-            db = self.delta(degree - 1) if degree > 0 else np.zeros((n_d, 0), dtype=np.int64)
-            relations = np.concatenate([db, modulus * np.eye(n_d, dtype=np.int64)], axis=1)
-
-        lat_snf = snf(lattice)
-        k = lattice.shape[1]
-        if relations.shape[1] == 0:
-            rel_in_lattice = np.zeros((k, 0), dtype=np.int64)
-        else:
-            rel_in_lattice = _solve_columns(lat_snf, np.asarray(relations))
-
-        rel_snf = snf(rel_in_lattice)
-        adapted = safe_matmul(lattice, rel_snf.u_inv)
-        orders: list[int] = []
-        for i in range(k):
-            if i < rel_snf.rank:
-                orders.append(int(rel_snf.d[i, i]))
-            else:
-                orders.append(0)
+            # cochains whose coboundary vanishes mod 2^j: every column of V, scaled
+            keep = slice(None)
+            diagonal = res.diagonal
+            scale = np.asarray([[modulus // gcd(diagonal[i], modulus) if i < res.rank else 1] for i in range(n_d)])
+        # the relations in lattice coordinates: the coboundaries, and for
+        # Z/2^j also 2^j times every cochain
+        relations = _divide_rows(safe_matmul(res.v_inv[keep], below), scale)
         if modulus:
-            for t in orders:
-                if t == 0 or modulus % t:
-                    raise ArithmeticError("mod-2^j group has a generator order not dividing the modulus")
+            relations = np.concatenate([relations, _scale_rows(res.v_inv, modulus // scale)], axis=1)
+        rel_snf = snf_rows(relations)
+
+        orders = rel_snf.diagonal[: rel_snf.rank] + [0] * (len(scale) - rel_snf.rank)
+        if modulus and any(t == 0 or modulus % t for t in orders):
+            raise ArithmeticError("mod-2^j group has a generator order not dividing the modulus")
 
         free_cols = [i for i, t in enumerate(orders) if t == 0]
         tors_cols = [i for i, t in enumerate(orders) if t >= 2]
         tors_cols.sort(key=lambda i: orders[i])
         gen_cols = free_cols + tors_cols
 
-        reps = []
-        for c in gen_cols:
-            vec = [int(v) for v in adapted[:, c]]
-            reps.append(Cochain.from_vector(x, degree, modulus, vec))
+        # generators: the columns of lattice @ U^-1 for the relation SNF's U
+        reps = safe_matmul(res.v[:, keep], _scale_rows(rel_snf.u_inv[:, gen_cols], scale))
         group = GradedGroup(
             degree=degree,
             free_rank=len(free_cols),
             torsion=tuple(orders[c] for c in tors_cols),
-            basis_cocycles=tuple(reps),
+            basis_cocycles=tuple(Cochain.from_vector(x, degree, modulus, col) for col in reps.T),
         )
-        return _DegreeData(group, adapted, snf(adapted), orders, gen_cols)
+        return _DegreeData(group, res.v_inv[keep], scale, rel_snf.u, gen_cols)
 
     def group(self, modulus: int, degree: int) -> GradedGroup:
         return self._degree_data(modulus, degree).group
@@ -222,12 +207,9 @@ class Cohomology:
         if data.group.n_generators == 0:
             return CohomologyClass(cochain.modulus, d, ())
         vec = np.asarray(cochain.vector(), dtype=object).reshape(-1, 1)
-        y = _solve_columns(data.basis_snf, vec).reshape(-1)
-        coords = []
-        for c in data.gen_cols:
-            t = data.orders[c]
-            coords.append(int(y[c]) % t if t else int(y[c]))
-        return CohomologyClass(cochain.modulus, d, tuple(coords))
+        y = safe_matmul(data.adapt, _divide_rows(safe_matmul(data.coords, vec), data.scale))[data.gen_cols, 0]
+        coords = tuple(int(c) % t if t else int(c) for c, t in zip(y, data.group.orders))
+        return CohomologyClass(cochain.modulus, d, coords)
 
     def representative(self, cls: CohomologyClass) -> Cochain:
         data = self._degree_data(cls.modulus, cls.degree)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SNF", "smith_normal_form", "snf", "solve_int", "kernel_basis", "det"]
+__all__ = ["SNF", "smith_normal_form", "snf", "snf_columns", "snf_rows", "solve_int", "kernel_basis", "det"]
 
-# With all participating entries bounded by _GUARD, one elimination step
-# produces values below 2**51, well inside int64.
-_GUARD = 1 << 25
+# A matrix with an entry above _GUARD is eliminated on Python ints from the
+# start; below it, a running bound proves every int64 update wrap-free.
+_GUARD = 1 << 30
 
 
 class _Overflow(Exception):
@@ -25,25 +25,23 @@ class _Overflow(Exception):
 
 
 def _asarray(a, big: bool) -> np.ndarray:
-    src = np.asarray(a, dtype=object)
+    """A fresh 2-d copy of ``a``: int64, or object dtype holding Python ints."""
+    src = np.asarray(a)
+    if src.dtype.kind not in "iu" or src.dtype == np.uint64:
+        src = np.frompyfunc(int, 1, 1)(np.asarray(a, dtype=object))
     if src.ndim == 1:
         src = src.reshape(0, 0) if src.size == 0 else src.reshape(1, -1)
     if src.ndim != 2:
         raise ValueError("matrix expected")
     if big:
-        out = np.empty(src.shape, dtype=object)
-        for i in range(src.shape[0]):
-            for j in range(src.shape[1]):
-                out[i, j] = int(src[i, j])
-        return out
+        return np.array(src.tolist(), dtype=object).reshape(src.shape)
     return src.astype(np.int64)
 
 
 def _identity(n: int, big: bool) -> np.ndarray:
     if big:
         m = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            m[i, i] = 1
+        np.fill_diagonal(m, 1)
         return m
     return np.eye(n, dtype=np.int64)
 
@@ -86,14 +84,15 @@ def safe_matmul(a, b) -> np.ndarray:
 class SNF:
     """U @ A @ V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    ``u_inv`` and ``v_inv`` are the exact inverses of ``u`` and ``v``.
+    ``u_inv`` and ``v_inv`` are the exact inverses of ``u`` and ``v``.  A
+    one-sided factorisation leaves the transforms of the other side None.
     """
 
-    u: np.ndarray
+    u: np.ndarray | None
     d: np.ndarray
-    v: np.ndarray
-    u_inv: np.ndarray
-    v_inv: np.ndarray
+    v: np.ndarray | None
+    u_inv: np.ndarray | None
+    v_inv: np.ndarray | None
     rank: int
 
     @property
@@ -102,27 +101,22 @@ class SNF:
         return [int(self.d[i, i]) for i in range(k)]
 
 
-def _snf_inplace(a: np.ndarray, big: bool) -> SNF:
-    rows, cols = a.shape
-    u = _identity(rows, big)
-    u_inv = _identity(rows, big)
-    v = _identity(cols, big)
-    v_inv = _identity(cols, big)
+def _snf_inplace(a: np.ndarray, big: bool, rows: bool, cols: bool) -> SNF:
+    """Eliminate ``a`` to Smith form, keeping the row and/or column transforms."""
+    nr, nc = a.shape
+    u, u_inv = (_identity(nr, big), _identity(nr, big)) if rows else (None, None)
+    v, v_inv = (_identity(nc, big), _identity(nc, big)) if cols else (None, None)
 
-    # Overestimate of the largest absolute entry across all five matrices,
+    # Overestimate of the largest absolute entry across the updated matrices,
     # maintained so int64 batch updates can be proven wrap-free in advance.
     bound = 1
     if not big and a.size:
         bound = max(1, int(np.abs(a).max()))
-        if bound > (1 << 30):
+        if bound > _GUARD:
             raise _Overflow
 
     def recompute_bound() -> int:
-        m = 1
-        for mat in (a, u, u_inv, v, v_inv):
-            if mat.size:
-                m = max(m, int(np.abs(mat).max()))
-        return m
+        return max([1] + [int(np.abs(m).max()) for m in (a, u, u_inv, v, v_inv) if m is not None and m.size])
 
     def admit(qsum: int):
         # allow an update multiplying the bound by (1 + qsum)
@@ -137,28 +131,33 @@ def _snf_inplace(a: np.ndarray, big: bool) -> SNF:
 
     def row_swap(i, j):
         a[[i, j], :] = a[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-        u_inv[:, [i, j]] = u_inv[:, [j, i]]
+        if rows:
+            u[[i, j], :] = u[[j, i], :]
+            u_inv[:, [i, j]] = u_inv[:, [j, i]]
 
     def col_swap(i, j):
         a[:, [i, j]] = a[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-        v_inv[[i, j], :] = v_inv[[j, i], :]
+        if cols:
+            v[:, [i, j]] = v[:, [j, i]]
+            v_inv[[i, j], :] = v_inv[[j, i], :]
 
     def row_negate(i):
         a[i, :] = -a[i, :]
-        u[i, :] = -u[i, :]
-        u_inv[:, i] = -u_inv[:, i]
+        if rows:
+            u[i, :] = -u[i, :]
+            u_inv[:, i] = -u_inv[:, i]
 
-    n = min(rows, cols)
+    n = min(nr, nc)
     r = 0
     while r < n:
+        # pivot: the first entry of least nonzero size in row-major order, chosen
+        # from a alone, so d and the kept transforms do not depend on the sides kept
         block = a[r:, r:]
-        if not np.any(block):
+        ii, jj = np.divmod(np.flatnonzero(block != 0), block.shape[1])
+        if not ii.size:
             break
-        absb = np.abs(block)
-        masked = np.where(absb > 0, absb, absb.max() + 1)
-        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+        k = int(np.argmin(np.abs(block[ii, jj])))
+        i, j = int(ii[k]), int(jj[k])
         if i:
             row_swap(r, r + int(i))
         if j:
@@ -170,9 +169,12 @@ def _snf_inplace(a: np.ndarray, big: bool) -> SNF:
             if np.any(colv):
                 q = colv // a[r, r]
                 admit(int(np.abs(q).sum()))
-                a[r + 1 :, :] -= np.outer(q, a[r, :])
-                u[r + 1 :, :] -= np.outer(q, u[r, :])
-                u_inv[:, r] += np.dot(u_inv[:, r + 1 :], q)
+                hit = r + 1 + np.flatnonzero(q)
+                q = q[q != 0]
+                a[hit, r:] -= np.outer(q, a[r, r:])
+                if rows:
+                    u[hit, :] -= np.outer(q, u[r, :])
+                    u_inv[:, r] += np.dot(u_inv[:, hit], q)
                 rem = a[r + 1 :, r]
                 if np.any(rem):
                     i = int(np.nonzero(rem)[0][0])
@@ -184,9 +186,12 @@ def _snf_inplace(a: np.ndarray, big: bool) -> SNF:
             if np.any(roww):
                 q = roww // a[r, r]
                 admit(int(np.abs(q).sum()))
-                a[:, r + 1 :] -= np.outer(a[:, r], q)
-                v[:, r + 1 :] -= np.outer(v[:, r], q)
-                v_inv[r, :] += np.dot(q, v_inv[r + 1 :, :])
+                hit = r + 1 + np.flatnonzero(q)
+                q = q[q != 0]
+                a[r:, hit] -= np.outer(a[r:, r], q)
+                if cols:
+                    v[:, hit] -= np.outer(v[:, r], q)
+                    v_inv[r, :] += np.dot(q, v_inv[hit, :])
                 rem = a[r, r + 1 :]
                 if np.any(rem):
                     j = int(np.nonzero(rem)[0][0])
@@ -205,20 +210,35 @@ def _snf_inplace(a: np.ndarray, big: bool) -> SNF:
                     i = int(bad[0][0])
                     admit(1)
                     a[r, :] += a[r + 1 + i, :]
-                    u[r, :] += u[r + 1 + i, :]
-                    u_inv[:, r + 1 + i] -= u_inv[:, r]
+                    if rows:
+                        u[r, :] += u[r + 1 + i, :]
+                        u_inv[:, r + 1 + i] -= u_inv[:, r]
                     continue  # redo this pivot with the offending row mixed in
         r += 1
 
     return SNF(u=u, d=a, v=v, u_inv=u_inv, v_inv=v_inv, rank=r)
 
 
+def _factor(matrix, rows: bool, cols: bool) -> SNF:
+    try:
+        return _snf_inplace(_asarray(matrix, big=False), False, rows, cols)
+    except (_Overflow, OverflowError):
+        return _snf_inplace(_asarray(matrix, big=True), True, rows, cols)
+
+
 def snf(matrix) -> SNF:
     """Smith normal form with transforms and their inverses."""
-    try:
-        return _snf_inplace(_asarray(matrix, big=False).copy(), big=False)
-    except (_Overflow, OverflowError):
-        return _snf_inplace(_asarray(matrix, big=True).copy(), big=True)
+    return _factor(matrix, rows=True, cols=True)
+
+
+def snf_columns(matrix) -> SNF:
+    """Smith normal form with only the column transforms ``v`` and ``v_inv``."""
+    return _factor(matrix, rows=False, cols=True)
+
+
+def snf_rows(matrix) -> SNF:
+    """Smith normal form with only the row transforms ``u`` and ``u_inv``."""
+    return _factor(matrix, rows=True, cols=False)
 
 
 def smith_normal_form(matrix):
@@ -261,7 +281,7 @@ def kernel_basis(a, snf_result: SNF | None = None) -> np.ndarray:
 
 def det(matrix) -> int:
     """Exact integer determinant (Bareiss fraction-free elimination)."""
-    a = _asarray(matrix, big=True).copy()
+    a = _asarray(matrix, big=True)
     n, m = a.shape
     if n != m:
         raise ValueError("square matrix expected")
@@ -276,9 +296,7 @@ def det(matrix) -> int:
                 return 0
             a[[k, hot[0]], :] = a[[hot[0], k], :]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i, j] = (a[i, j] * a[k, k] - a[i, k] * a[k, j]) // prev
-            a[i, k] = 0
+        a[k + 1 :, k + 1 :] = (a[k + 1 :, k + 1 :] * a[k, k] - np.outer(a[k + 1 :, k], a[k, k + 1 :])) // prev
+        a[k + 1 :, k] = 0
         prev = a[k, k]
     return sign * int(a[n - 1, n - 1])

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from contact9.cohomology import Cohomology, cohomology, induced_iso_matrix, pullback_cochain
-from contact9.complexes import cp2_9, rp2_6, sphere, torus_7
+from contact9 import intlinalg
+from contact9.cohomology import Cohomology, _divide_rows, cohomology, induced_iso_matrix, pullback_cochain
+from contact9.complexes import cp2_9, rp2_6, rp3_40, sphere, torus_7
+from contact9.model import from_simplicial
 from contact9.simplicial import SimplicialComplex
 
 
@@ -252,3 +254,32 @@ def test_basis_cocycles_represent_their_generators():
                     coords = coh.class_of(rep).coords
                     expect = tuple(1 if k == i else 0 for k in range(g.n_generators))
                     assert coords == expect, (x, modulus, d, i)
+
+
+@pytest.mark.parametrize("make, n_groups", [(cp2_9, 10), (rp3_40, 8)])
+def test_each_coboundary_and_relation_lattice_is_factorised_once(monkeypatch, make, n_groups):
+    """A model costs one column-side SNF per coboundary and one row-side SNF
+    per group (Z and Z/2 in every degree), and nothing else: 15 eliminations
+    for cp2_9 and 12 for rp3_40."""
+    calls = []
+    core = intlinalg._snf_inplace
+
+    def counted(a, big, rows, cols):
+        calls.append((rows, cols))
+        return core(a, big, rows, cols)
+
+    monkeypatch.setattr(intlinalg, "_snf_inplace", counted)
+    x = make()
+    from_simplicial(x)
+    assert calls.count((False, True)) == x.dimension + 1
+    assert calls.count((True, False)) == n_groups
+    assert len(calls) == x.dimension + 1 + n_groups
+
+
+def test_lattice_coordinates_must_divide_exactly():
+    y = np.asarray([[4, 6], [3, 9]], dtype=np.int64)
+    assert _divide_rows(y, np.asarray([[2], [3]])).tolist() == [[2, 3], [1, 3]]
+    with pytest.raises(ArithmeticError):
+        _divide_rows(y, np.asarray([[4], [3]]))
+    with pytest.raises(ArithmeticError):
+        _divide_rows(y.astype(object), np.asarray([[2], [2]]))

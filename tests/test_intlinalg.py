@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contact9.intlinalg import det, kernel_basis, smith_normal_form, snf, solve_int
+from contact9.intlinalg import _GUARD, det, kernel_basis, smith_normal_form, snf, snf_columns, snf_rows, solve_int
 
 
 def naive_det(rows):
@@ -105,6 +105,55 @@ def test_bigint_fallback():
     res = check_snf(a)
     assert res.diagonal[0] == 1
     assert res.diagonal[1] == 10**60 - 1
+
+
+def check_one_sided(matrix):
+    """Each one-sided SNF gives snf's d, rank and transforms of its side, and None for the other.
+
+    The values agree exactly; the dtypes may not, since a one-sided call
+    bounds fewer matrices and can stay on int64 where snf falls back.
+    """
+    full = check_snf(matrix)
+    cols, rows = snf_columns(matrix), snf_rows(matrix)
+    for one in (cols, rows):
+        assert one.rank == full.rank
+        assert np.array_equal(one.d, full.d)
+    assert cols.u is None and cols.u_inv is None
+    assert np.array_equal(cols.v, full.v) and np.array_equal(cols.v_inv, full.v_inv)
+    assert rows.v is None and rows.v_inv is None
+    assert np.array_equal(rows.u, full.u) and np.array_equal(rows.u_inv, full.u_inv)
+    return full
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.floats(0.1, 1.0),
+    st.data(),
+)
+def test_one_sided_snf_matches_snf(m, n, density, data):
+    rows = [
+        [data.draw(st.integers(-20, 20)) if data.draw(st.floats(0, 1)) < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+    check_one_sided(rows)
+
+
+def test_one_sided_snf_of_empty_matrices():
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        res = check_one_sided(np.zeros(shape, dtype=np.int64))
+        assert res.rank == 0
+
+
+def test_one_sided_snf_bigint_fallback():
+    """Entries above the guard send all three factorisations down the exact path."""
+    big = _GUARD + 1
+    a = np.asarray([[2 * big, 3 * big, 1], [4 * big, big, 5], [6, 7 * big, 2 * big]], dtype=np.int64)
+    res = check_one_sided(a)
+    assert res.d.dtype == object
+    assert snf_columns(a).d.dtype == snf_rows(a).d.dtype == object
+    assert [x for x in res.diagonal if x] == minor_gcd_diagonal(a)
 
 
 def test_solve_int():
