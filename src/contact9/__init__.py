@@ -9,7 +9,6 @@ floating point anywhere in the package.
 __version__ = "0.1.0"
 
 from .simplicial import SimplicialComplex, Cochain, cup, cup_i, coboundary
-from .intlinalg import smith_normal_form
 from .cohomology import Cohomology, cohomology, GradedGroup
 from .model import (
     CohomologyModel, ManifoldModel, F2Class, ZClass, GradedPiece,
@@ -20,7 +19,7 @@ from .library import library, LIBRARY_NAMES, corpus
 from .charclasses import (
     WuClasses, SWClasses, CosetH8, SpincData,
     wu_classes, sw_classes, integral_lift, compute_dm, coset_reduce,
-    half_product, half_product_solutions, sigma_w4, spinc_data,
+    half_product_solutions, sigma_w4, spinc_data,
 )
 from .decider import (
     Verdict, Outcome, ObstructionStage, MissingDatum, GradedIso,
@@ -30,7 +29,6 @@ from .decider import (
 
 __all__ = [
     "SimplicialComplex", "Cochain", "cup", "cup_i", "coboundary",
-    "smith_normal_form",
     "Cohomology", "cohomology", "GradedGroup",
     "CohomologyModel", "ManifoldModel", "F2Class", "ZClass", "GradedPiece",
     "validate", "build_product", "connected_sum", "from_simplicial",
@@ -38,7 +36,7 @@ __all__ = [
     "library", "LIBRARY_NAMES", "corpus",
     "WuClasses", "SWClasses", "CosetH8", "SpincData",
     "wu_classes", "sw_classes", "integral_lift", "compute_dm",
-    "coset_reduce", "half_product", "half_product_solutions",
+    "coset_reduce", "half_product_solutions",
     "sigma_w4", "spinc_data",
     "Verdict", "Outcome", "ObstructionStage", "MissingDatum", "GradedIso",
     "Analysis", "analyse", "decide", "decide_connected_sum", "evaluate_omega_pc",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import f2
-from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass
+from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass, _reduce_rows
 
 __all__ = [
     "WuClasses", "SWClasses", "CosetH8", "SpincData",
@@ -22,8 +22,8 @@ __all__ = [
     "solve_wu_degree", "wu_classes", "sw_from_wu", "sw_classes",
     "nine_manifold_identities", "integral_lift",
     "random_integral_lift", "compute_dm", "annihilator_subspace",
-    "sq2_image_subspace", "coset_reduce", "zero_coset",
-    "half_product", "half_product_solutions", "sigma_w4", "spinc_data",
+    "sq2_image_subspace", "coset_reduce",
+    "half_product_solutions", "sigma_w4", "spinc_data",
 ]
 
 
@@ -66,6 +66,12 @@ class SWClasses:
     w: dict
     w3_integral: ZClass
     w7_integral: ZClass
+
+    @classmethod
+    def from_w(cls, m: CohomologyModel, w: dict) -> "SWClasses":
+        """The classes ``w`` with their integral classes W3 = beta w2 and W7 = beta w6."""
+        n = m.dimension
+        return cls(w, m.beta_map(w[2]) if n >= 2 else m.zero_z(3), m.beta_map(w[6]) if n >= 6 else m.zero_z(7))
 
     @property
     def W3(self) -> ZClass:
@@ -168,22 +174,20 @@ def sw_classes(model, wu: WuClasses | None = None) -> SWClasses:
     classes, or solved here), plus the integral classes in degrees 3 and 7;
     9-dimensional models must satisfy ``nine_manifold_identities``."""
     m = _cohomology(model)
-    n = m.dimension
-    w = sw_from_wu(m, (wu or wu_classes(model)).by_degree)
-    if n == 9:
-        broken = nine_manifold_identities(m, w)
+    sw = SWClasses.from_w(m, sw_from_wu(m, (wu or wu_classes(model)).by_degree))
+    if m.dimension == 9:
+        broken = nine_manifold_identities(m, sw)
         if broken:
             raise ModelInvariantError(str(broken[0]))
-    w3i = m.beta_map(w[2]) if n >= 2 else m.zero_z(3)
-    w7i = m.beta_map(w[6]) if n >= 6 else m.zero_z(7)
-    return SWClasses(w=w, w3_integral=w3i, w7_integral=w7i)
+    return sw
 
 
-def nine_manifold_identities(m: CohomologyModel, w: dict) -> list[Violation]:
+def nine_manifold_identities(m: CohomologyModel, sw: SWClasses) -> list[Violation]:
     """The identities Stiefel-Whitney classes of a closed orientable
-    9-manifold satisfy, as violations by the classes ``w``: w9 = 0,
+    9-manifold satisfy, as violations by the classes ``sw``: w9 = 0,
     w8 = w4^2 + w2^4, w_{2i+1} = Sq^1 w_{2i}, and, once the degree-3 integral
     class vanishes, odd classes vanish, w6 = Sq^2 w4 and w2 w4 = w2 w6 = 0."""
+    w = sw.w
     out = []
     if not w[9].is_zero():
         out.append(Violation("w9_zero", 9, "top Stiefel-Whitney class nonzero"))
@@ -193,7 +197,7 @@ def nine_manifold_identities(m: CohomologyModel, w: dict) -> list[Violation]:
     for i in (1, 2, 3):
         if w[2 * i + 1] != m.sq_map(1, w[2 * i]):
             out.append(Violation("w_odd_formula", 2 * i + 1, f"w{2*i+1} != Sq^1 w{2*i}"))
-    if m.beta_map(w[2]).is_zero():
+    if sw.W3.is_zero():
         for k in (1, 3, 5, 7, 9):
             if not w[k].is_zero():
                 out.append(Violation(
@@ -256,17 +260,8 @@ def reduction_image_subspace(m: CohomologyModel, degree: int) -> f2.Subspace:
 
 def bockstein_kernel_subspace(m: CohomologyModel, degree: int) -> f2.Subspace:
     """Kernel of the mod-2 Bockstein in the given degree."""
-    beta = m.beta[degree]
-    orders = m.z_orders(degree + 1) if degree + 1 <= m.dimension else ()
-    rows = []
-    for c, o in enumerate(orders):
-        row = [(1 if int(beta[c, j]) % o else 0) if o else (1 if beta[c, j] else 0)
-               for j in range(m.f2_dim(degree))]
-        rows.append(row)
-    if not rows:
-        return f2.Subspace(list(np.eye(m.f2_dim(degree), dtype=np.uint8)), ambient_dim=m.f2_dim(degree))
-    mat = np.asarray(rows, dtype=np.uint8)
-    return f2.Subspace(list(f2.nullspace(mat)), ambient_dim=m.f2_dim(degree))
+    nonzero = _reduce_rows(m.beta[degree], m.z_orders(degree + 1)) != 0
+    return f2.Subspace(list(f2.nullspace(nonzero.astype(np.uint8))), ambient_dim=m.f2_dim(degree))
 
 
 def sq2_image_subspace(m: CohomologyModel, degree: int = 6) -> f2.Subspace:
@@ -274,11 +269,6 @@ def sq2_image_subspace(m: CohomologyModel, degree: int = 6) -> f2.Subspace:
     kernel = bockstein_kernel_subspace(m, degree)
     vecs = [m.sq_map(2, m.f2(degree, row)).vec() for row in kernel.basis]
     return f2.Subspace(vecs, ambient_dim=m.f2_dim(degree + 2))
-
-
-def zero_coset(model) -> CosetH8:
-    m = _cohomology(model)
-    return CosetH8(m.zero_f2(8), sq2_image_subspace(m, 6))
 
 
 def coset_reduce(x: F2Class, model) -> CosetH8:
@@ -364,11 +354,6 @@ def half_product_solutions(c: ZClass, v: ZClass, model) -> list[ZClass]:
         if len(sols) > 256:
             raise ModelInvariantError("half-product solution set unexpectedly large")
     return [m.z(8, s) for s in sols]
-
-
-def half_product(c: ZClass, v: ZClass, model) -> ZClass:
-    """The canonical solution d of 2d = c v (coordinate-wise halving)."""
-    return half_product_solutions(c, v, model)[0]
 
 
 # -- the top invariant ---------------------------------------------------------

@@ -231,11 +231,6 @@ class Cohomology:
         )
         return CohomologyClass(a.modulus, a.degree, coords)
 
-    def scale(self, k: int, a: CohomologyClass) -> CohomologyClass:
-        orders = self.group(a.modulus, a.degree).orders
-        coords = tuple((k * x) % t if t else k * x for x, t in zip(a.coords, orders))
-        return CohomologyClass(a.modulus, a.degree, coords)
-
     # -- operations ------------------------------------------------------
 
     def cup(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
@@ -325,22 +320,3 @@ def _perm_sign(perm) -> int:
             sign = -sign
     return sign
 
-
-def induced_iso_matrix(
-    dst: Cohomology, src: Cohomology, vertex_map, modulus: int, degree: int
-) -> np.ndarray:
-    """Matrix (in generator coordinates) of the pullback H(src) -> H(dst).
-
-    ``vertex_map`` sends vertices of dst.complex to vertices of src.complex
-    and must define a simplicial isomorphism.
-    """
-    g_src = src.group(modulus, degree)
-    g_dst = dst.group(modulus, degree)
-    cols = []
-    for rep in g_src.basis_cocycles:
-        pulled = pullback_cochain(dst.complex, rep, vertex_map)
-        cols.append(dst.class_of(pulled).coords)
-    out = np.zeros((g_dst.n_generators, g_src.n_generators), dtype=np.int64)
-    for j, c in enumerate(cols):
-        out[:, j] = c
-    return out

@@ -19,7 +19,7 @@ from . import f2
 from .charclasses import (
     CosetH8, ModelInvariantError, PreconditionError, SWClasses, WuClasses,
     bockstein_vanishes_on, compute_dm, coset_reduce, half_product_solutions,
-    integral_lift, sigma_w4, spinc_data, sq2_image_subspace, sw_classes,
+    integral_lift, sigma_w4, spinc_data, sq2_image_subspace,
 )
 from .model import CohomologyModel, ManifoldModel, ZClass, _reduce_rows, connected_sum, validate
 
@@ -124,9 +124,8 @@ def analyse(model: ManifoldModel) -> Analysis:
         raise PreconditionError("the decision procedure handles 9-manifolds")
     if not m.orientable:
         raise PreconditionError("the decision procedure needs an orientable model")
-    wu = WuClasses(by_degree=report.wu)
-    sw = sw_classes(model, wu)
-    return Analysis(model, wu, sw, compute_dm(model, sw), sq2_image_subspace(m, 6))
+    sw = report.sw
+    return Analysis(model, WuClasses(by_degree=report.wu), sw, compute_dm(model, sw), sq2_image_subspace(m, 6))
 
 
 def _analysis(model: ManifoldModel | Analysis) -> Analysis:

@@ -174,9 +174,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
 
-    def same_coset(self, u, v) -> bool:
-        return bool(np.array_equal(self.reduce(u), self.reduce(v)))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)

@@ -1,4 +1,5 @@
-"""Exact integer matrix algebra: Smith normal form and lattice solvers.
+"""Exact integer matrix algebra: the Smith normal form, two-sided or keeping
+only the row or the column transforms, and a matrix product that never wraps.
 
 Matrices are numpy arrays.  Computations run on int64 with an explicit
 magnitude guard: entries are kept far enough below the int64 bound that no
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SNF", "smith_normal_form", "snf", "snf_columns", "snf_rows", "solve_int", "kernel_basis", "det"]
+__all__ = ["SNF", "snf", "snf_columns", "snf_rows"]
 
 # A matrix with an entry above _GUARD is eliminated on Python ints from the
 # start; below it, a running bound proves every int64 update wrap-free.
@@ -239,64 +240,3 @@ def snf_columns(matrix) -> SNF:
 def snf_rows(matrix) -> SNF:
     """Smith normal form with only the row transforms ``u`` and ``u_inv``."""
     return _factor(matrix, rows=True, cols=False)
-
-
-def smith_normal_form(matrix):
-    """Return (U, D, V) with U @ A @ V = D diagonal, d1 | d2 | ..., det U, V = +-1."""
-    res = snf(matrix)
-    return res.u, res.d, res.v
-
-
-def solve_int(a, b, snf_result: SNF | None = None):
-    """One integer solution x of a @ x = b, or None if none exists.
-
-    When several systems share the matrix, pass a precomputed ``snf_result``.
-    """
-    res = snf_result if snf_result is not None else snf(a)
-    rows, cols = res.d.shape
-    b = np.asarray([int(x) for x in np.asarray(b).reshape(-1)], dtype=object)
-    if b.shape[0] != rows:
-        raise ValueError("dimension mismatch")
-    c = _dot(res.u, b)
-    y = np.zeros(cols, dtype=object)
-    for i in range(rows):
-        di = int(res.d[i, i]) if i < min(rows, cols) else 0
-        ci = int(c[i])
-        if di == 0:
-            if ci != 0:
-                return None
-        else:
-            if ci % di:
-                return None
-            y[i] = ci // di
-    x = _dot(res.v, y)
-    return np.asarray([int(t) for t in x], dtype=object)
-
-
-def kernel_basis(a, snf_result: SNF | None = None) -> np.ndarray:
-    """Columns form a basis of the (saturated) integer kernel lattice of ``a``."""
-    res = snf_result if snf_result is not None else snf(a)
-    return np.asarray(res.v[:, res.rank :])
-
-
-def det(matrix) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    a = _asarray(matrix, big=True)
-    n, m = a.shape
-    if n != m:
-        raise ValueError("square matrix expected")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k, k] == 0:
-            hot = [i for i in range(k + 1, n) if a[i, k] != 0]
-            if not hot:
-                return 0
-            a[[k, hot[0]], :] = a[[hot[0], k], :]
-            sign = -sign
-        a[k + 1 :, k + 1 :] = (a[k + 1 :, k + 1 :] * a[k, k] - np.outer(a[k + 1 :, k], a[k, k + 1 :])) // prev
-        a[k + 1 :, k] = 0
-        prev = a[k, k]
-    return sign * int(a[n - 1, n - 1])

@@ -16,12 +16,16 @@ a witness.  Everything is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import f2
 from .cohomology import Cohomology
 from .simplicial import SimplicialComplex
+
+if TYPE_CHECKING:
+    from .charclasses import SWClasses
 
 __all__ = [
     "F2Class", "ZClass", "GradedPiece", "CohomologyModel", "ManifoldModel",
@@ -375,6 +379,7 @@ class Violation:
 class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
     wu: dict | None = None  # Wu classes by degree, once the nine-manifold check has solved them
+    sw: SWClasses | None = None  # the Stiefel-Whitney classes, with W3 and W7, that it derived from them
 
     @property
     def ok(self) -> bool:
@@ -391,17 +396,18 @@ class ValidationReport:
 
 def _structural_checks(m: CohomologyModel, rep: ValidationReport):
     n = m.dimension
-    # Bockstein matrices must land in the 2-torsion part
-    for i in range(n + 1):
-        b = m.beta[i]
-        orders = m.z_orders(i + 1) if i + 1 <= n else ()
-        for c, o in enumerate(orders):
-            for j in range(m.f2_dim(i)):
-                v = int(b[c, j]) % o if o else int(b[c, j])
-                if o == 0 and v != 0:
-                    rep.add("bockstein_torsion_valued", i, f"beta hits free generator {c}")
-                elif o and (2 * v) % o:
-                    rep.add("bockstein_two_torsion", i, f"beta value {v} not killed by 2 in Z/{o}")
+    # Bockstein matrices must land in the 2-torsion part: twice each value is
+    # zero modulo its generator's order (order 0 for a free generator)
+    for i, beta in enumerate(m.beta):
+        if not beta.any():
+            continue
+        orders = m.z_orders(i + 1)
+        b = _reduce_rows(beta, orders)
+        for c, j in zip(*np.nonzero(_reduce_rows(2 * b, orders) != 0)):
+            if orders[c] == 0:
+                rep.add("bockstein_torsion_valued", i, f"beta hits free generator {c}")
+            else:
+                rep.add("bockstein_two_torsion", i, f"beta value {b[c, j]} not killed by 2 in Z/{orders[c]}")
     if m.piece(0).z_rank != 1 or m.piece(0).z_torsion or m.f2_dim(0) != 1:
         rep.add("unit_degree", 0, "H^0 must be Z with one mod-2 generator")
     else:
@@ -549,7 +555,7 @@ def _nine_manifold_checks(m: CohomologyModel, rep: ValidationReport):
     """Wu-formula consequences for orientable 9-manifolds, and the extra
     Stiefel-Whitney relations that hold once the degree-3 integral class
     vanishes."""
-    from .charclasses import WuSolveError, nine_manifold_identities, solve_wu_degree, sw_from_wu
+    from .charclasses import SWClasses, WuSolveError, nine_manifold_identities, solve_wu_degree, sw_from_wu
 
     try:
         wu = {k: solve_wu_degree(m, k) for k in range(1, m.dimension + 1)}
@@ -560,7 +566,8 @@ def _nine_manifold_checks(m: CohomologyModel, rep: ValidationReport):
     for k, v in wu.items():
         if k not in (2, 4) and not v.is_zero():
             rep.add("wu_vanishing", k, f"Wu class in degree {k} is nonzero")
-    rep.violations += nine_manifold_identities(m, sw_from_wu(m, wu))
+    rep.sw = SWClasses.from_w(m, sw_from_wu(m, wu))
+    rep.violations += nine_manifold_identities(m, rep.sw)
 
 
 # -- builders ---------------------------------------------------------------
@@ -790,6 +797,8 @@ def from_simplicial(x: SimplicialComplex, label: str = "") -> CohomologyModel:
 
     The closed-manifold property is checked a posteriori: the mod-2
     intersection pairing must be nondegenerate with one-dimensional top group.
+    The mod-2 Betti numbers are checked against the Euler characteristic
+    counted from the simplices; a mismatch is an engine fault.
     """
     coh = Cohomology(x)
     n = x.dimension
@@ -804,6 +813,8 @@ def from_simplicial(x: SimplicialComplex, label: str = "") -> CohomologyModel:
                 f2_basis=tuple(f"e{d}_{k}" for k in range(len(g2.torsion))),
             )
         )
+    if x.euler_characteristic() != sum((-1) ** d * p.f2_dim for d, p in enumerate(pieces)):
+        raise ArithmeticError("mod-2 Betti numbers disagree with the Euler characteristic")
 
     rho2 = []
     for d in range(n + 1):

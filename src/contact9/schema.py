@@ -294,17 +294,3 @@ def parse_model(text: str):
             omega_cls = core.f2(8, rep)
     return ManifoldModel(core, phi_hat=phi_cls, omega_pc=omega_cls, label=str(doc.get("label", "")))
 
-
-def models_equal(a, b) -> bool:
-    """Equality on the normalized schema form."""
-    am = isinstance(a, ManifoldModel)
-    bm = isinstance(b, ManifoldModel)
-    if am != bm:
-        return False
-    ca = a.cohomology if am else a
-    cb = b.cohomology if bm else b
-    if not ca.equals(cb):
-        return False
-    if am:
-        return a.phi_hat == b.phi_hat and a.omega_pc == b.omega_pc
-    return True

@@ -6,10 +6,10 @@ import pytest
 
 from contact9 import charclasses, f2
 from contact9.charclasses import (
-    CosetH8, ModelInvariantError, PreconditionError, annihilator_subspace,
-    bockstein_vanishes_on, compute_dm, coset_reduce, half_product,
+    CosetH8, ModelInvariantError, PreconditionError, SWClasses, annihilator_subspace,
+    bockstein_vanishes_on, compute_dm, coset_reduce,
     half_product_solutions, integral_lift, nine_manifold_identities, random_integral_lift,
-    sigma_w4, spinc_data, sq2_image_subspace, sw_classes, wu_classes, zero_coset,
+    sigma_w4, spinc_data, sq2_image_subspace, sw_classes, wu_classes,
 )
 from contact9.complexes import cp2_9, rp3_40, sphere, torus_7
 from contact9.library import library, synthetic_spinc_models
@@ -91,7 +91,7 @@ def test_nine_manifold_identities_on_hand_made_classes(changes, expected, monkey
     m = library("S1xCP4").cohomology
     w = _s1xcp4_sw(changes)
     assert {k: v.bits for k, v in _s1xcp4_sw({}).items() if not v.is_zero()} == {2: (1,), 8: (1,)}
-    found = nine_manifold_identities(m, w)
+    found = nine_manifold_identities(m, SWClasses.from_w(m, w))
     assert [(v.check, v.degree) for v in found] == expected
     # validation reports from the same function, and sw_classes raises from it
     monkeypatch.setattr(charclasses, "sw_from_wu", lambda _m, _wu: w)
@@ -107,7 +107,7 @@ def test_nine_manifold_identities_skip_spinc_relations_when_w3_nonzero():
     m = library("Dold_5_2").cohomology
     w = dict(sw_classes(m).w)
     assert not w[3].is_zero()
-    assert nine_manifold_identities(m, w) == []
+    assert nine_manifold_identities(m, SWClasses.from_w(m, w)) == []
 
 
 # -- integral lifts -----------------------------------------------------------
@@ -175,7 +175,6 @@ def test_dm_matches_annihilator_on_corpus():
 
 def test_coset_zero():
     m = library("S1xCP4")
-    assert zero_coset(m).is_zero()
     assert coset_reduce(m.cohomology.zero_f2(8), m).is_zero()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contact9 import intlinalg
-from contact9.cohomology import Cohomology, _divide_rows, cohomology, induced_iso_matrix, pullback_cochain
+from contact9.cohomology import Cohomology, _divide_rows, cohomology, pullback_cochain
 from contact9.complexes import cp2_9, rp2_6, rp3_40, sphere, torus_7
 from contact9.model import from_simplicial
 from contact9.simplicial import SimplicialComplex
@@ -193,16 +193,6 @@ def test_vertex_order_independence():
                         pullback_cochain(base, coh2.representative(coh2.bockstein(e)), identity)
                     )
                     assert bl == br
-
-
-def test_induced_iso_matrix_invertible():
-    rng = np.random.default_rng(73)
-    base = rp2_6()
-    verts = list(base.vertices)
-    rng.shuffle(verts)
-    other = SimplicialComplex(verts, [list(f) for f in base.facets])
-    m = induced_iso_matrix(Cohomology(base), Cohomology(other), {v: v for v in verts}, 2, 1)
-    assert m.shape == (1, 1) and m[0, 0] == 1
 
 
 def test_operation_ring_contracts():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contact9 import f2
+from contact9 import charclasses, f2
 from contact9.charclasses import PreconditionError, sw_classes
 from contact9.decider import (
     GradedIso, IsoRejected, MissingDatum, ObstructionStage, Outcome,
@@ -35,6 +35,21 @@ def test_corpus_verdicts(name):
     outcome, stage = EXPECTED[name]
     assert v.outcome == outcome
     assert v.obstruction == stage
+
+
+def test_analyse_derives_sw_classes_once(monkeypatch):
+    """Validation's nine-manifold check derives w once; analyse reuses it."""
+    calls = {"sw_from_wu": 0, "nine_manifold_identities": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(charclasses, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(charclasses, name, counted)
+    model = library("S1xCP4")
+    a = analyse(model)
+    assert calls == {"sw_from_wu": 1, "nine_manifold_identities": 1}
+    monkeypatch.undo()
+    assert a.sw == sw_classes(model)
 
 
 def test_branch_exclusivity():

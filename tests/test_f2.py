@@ -68,7 +68,8 @@ def test_subspace_membership_and_reduction():
     r = s.reduce([1, 1, 0, 1])
     # canonical representative: reducing again changes nothing
     assert np.array_equal(s.reduce(r), r)
-    assert s.same_coset([1, 1, 0, 1], [0, 1, 1, 1])
+    # [1, 1, 0, 1] + [0, 1, 1, 1] = v1 + v2 lies in s: one coset, one representative
+    assert np.array_equal(s.reduce([0, 1, 1, 1]), r)
 
 
 def test_subspace_equality_independent_of_generators():

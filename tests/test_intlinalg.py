@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contact9.intlinalg import _GUARD, det, kernel_basis, smith_normal_form, snf, snf_columns, snf_rows, solve_int
+from contact9.intlinalg import _GUARD, snf, snf_columns, snf_rows
 
 
 def naive_det(rows):
@@ -49,8 +49,6 @@ def check_snf(matrix):
     res = snf(matrix)
     u, d, v = np.asarray(res.u, object), np.asarray(res.d, object), np.asarray(res.v, object)
     assert np.array_equal(np.dot(np.dot(u, a), v), d)
-    assert abs(det(res.u)) == 1
-    assert abs(det(res.v)) == 1
     diag = res.diagonal
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
@@ -65,23 +63,23 @@ def check_snf(matrix):
 
 
 def test_identity():
-    u, d, v = smith_normal_form(np.eye(3, dtype=int))
-    assert np.array_equal(np.asarray(d), np.eye(3, dtype=int))
-    assert np.array_equal(np.asarray(u), np.eye(3, dtype=int))
-    assert np.array_equal(np.asarray(v), np.eye(3, dtype=int))
+    res = snf(np.eye(3, dtype=int))
+    assert np.array_equal(res.d, np.eye(3, dtype=int))
+    assert np.array_equal(res.u, np.eye(3, dtype=int))
+    assert np.array_equal(res.v, np.eye(3, dtype=int))
 
 
 def test_zero():
-    u, d, v = smith_normal_form(np.zeros((2, 2), dtype=int))
-    assert not np.asarray(d).any()
-    assert np.array_equal(np.asarray(u), np.eye(2, dtype=int))
-    assert np.array_equal(np.asarray(v), np.eye(2, dtype=int))
+    res = snf(np.zeros((2, 2), dtype=int))
+    assert not res.d.any()
+    assert np.array_equal(res.u, np.eye(2, dtype=int))
+    assert np.array_equal(res.v, np.eye(2, dtype=int))
 
 
 def test_two_four_example():
     a = [[2, 4], [6, 8]]
     res = check_snf(a)
-    # d1 = gcd of the entries, d1 * d2 = |det| = 8
+    # d1 = gcd of the entries, d1 * d2 = |determinant| = 8
     assert res.diagonal == [2, 4]
     assert minor_gcd_diagonal(a) == [2, 4]
 
@@ -155,29 +153,3 @@ def test_one_sided_snf_bigint_fallback():
     assert snf_columns(a).d.dtype == snf_rows(a).d.dtype == object
     assert [x for x in res.diagonal if x] == minor_gcd_diagonal(a)
 
-
-def test_solve_int():
-    a = [[2, 0, 1], [0, 3, 1]]
-    x = solve_int(a, [5, 7])
-    assert x is not None
-    assert list(np.dot(np.asarray(a, object), x)) == [5, 7]
-    assert solve_int([[2, 0], [0, 2]], [1, 2]) is None
-
-
-def test_kernel_basis_spans_kernel():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        a = rng.integers(-5, 6, size=(3, 5))
-        k = kernel_basis(a)
-        prod = np.dot(np.asarray(a, object), np.asarray(k, object))
-        assert not np.asarray(prod).any()
-        # saturated: rank of kernel = n - rank(a)
-        res = snf(a)
-        assert k.shape[1] == 5 - res.rank
-
-
-def test_det_bareiss():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        a = rng.integers(-9, 10, size=(4, 4))
-        assert det(a) == naive_det([list(map(int, r)) for r in a])

@@ -210,6 +210,32 @@ def test_from_simplicial_rp2_accepted_not_orientable():
     assert validate(m).ok  # structural invariants hold; orientation not claimed
 
 
+def test_from_simplicial_checks_the_euler_characteristic(monkeypatch):
+    chi = SimplicialComplex.euler_characteristic
+    monkeypatch.setattr(SimplicialComplex, "euler_characteristic", lambda x: chi(x) + 1)
+    with pytest.raises(ArithmeticError, match="Euler characteristic"):
+        from_simplicial(rp2_6())
+
+
+def test_validate_bockstein_values_in_row_major_order():
+    # H^2 = Z + Z/4 + Z/8: the free row must vanish, and twice each torsion
+    # entry must vanish modulo its order
+    pieces = [GradedPiece(1, (), ("u",)), GradedPiece(0, (), ("a", "b")), GradedPiece(1, (4, 8), ("t",))]
+    dims = [p.f2_dim for p in pieces]
+    m = CohomologyModel(
+        dimension=2, pieces=pieces,
+        rho2=[[[1]], np.zeros((2, 0)), np.zeros((1, 3))],
+        beta=[np.zeros((0, 1)), [[0, 5], [-3, 6], [4, -7]], np.zeros((0, 1))],
+        sq={}, cup2={(i, j): np.zeros((dims[i], dims[j], dims[i + j])) for i in range(3) for j in range(3 - i)},
+    )
+    found = [(v.check, v.degree, v.detail) for v in validate(m).violations if v.check.startswith("bockstein")]
+    assert found == [
+        ("bockstein_torsion_valued", 1, "beta hits free generator 0"),
+        ("bockstein_two_torsion", 1, "beta value 1 not killed by 2 in Z/4"),
+        ("bockstein_two_torsion", 1, "beta value 1 not killed by 2 in Z/8"),
+    ]
+
+
 def test_from_simplicial_rejects_non_manifold():
     # two triangles sharing an edge: a disc-like complex, degenerate pairing
     x = SimplicialComplex([0, 1, 2, 3], [[0, 1, 2], [1, 2, 3]])
