@@ -22,7 +22,7 @@ from .charclasses import (
     half_product_solutions, sigma_w4, spinc_data,
 )
 from .decider import (
-    Verdict, Outcome, ObstructionStage, MissingDatum, GradedIso,
+    Verdict, Outcome, ObstructionStage, O8Branch, MissingDatum, GradedIso,
     Analysis, analyse, decide, decide_connected_sum, evaluate_omega_pc,
     homotopy_invariance_check, check_w7_theorem,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "wu_classes", "sw_classes", "integral_lift", "compute_dm",
     "coset_reduce", "half_product_solutions",
     "sigma_w4", "spinc_data",
-    "Verdict", "Outcome", "ObstructionStage", "MissingDatum", "GradedIso",
+    "Verdict", "Outcome", "ObstructionStage", "O8Branch", "MissingDatum", "GradedIso",
     "Analysis", "analyse", "decide", "decide_connected_sum", "evaluate_omega_pc",
     "homotopy_invariance_check", "check_w7_theorem",
 ]

@@ -89,7 +89,6 @@ class SpincData:
     c: ZClass            # integral lift of w2
     v: ZClass            # integral lift of w6
     half_cv: ZClass      # a class with 2 * half_cv = c v
-    p_c: ZClass | None = None  # externally supplied degree-4 class, if any
 
 
 class CosetH8:
@@ -282,11 +281,11 @@ def coset_reduce(x: F2Class, model) -> CosetH8:
 # -- the degree-one subspace and its annihilator description ------------------
 
 
-def compute_dm(model, sw: SWClasses | None = None) -> f2.Subspace:
+def compute_dm(model, sw: SWClasses) -> f2.Subspace:
     """Degree-one classes whose product with w2 lies in the mod-2 image of
     the degree-3 torsion; checked against the annihilator description."""
     m = _cohomology(model)
-    w2 = (sw or sw_classes(model)).w[2]
+    w2 = sw.w[2]
     dim1 = m.f2_dim(1)
     mul = (np.einsum("xyz,y->zx", m.cup_tensor(1, 2), w2.vec(), dtype=np.int64) & 1).astype(np.uint8)
     torsion_image = f2.Subspace(list(m.rho2[3][:, m.piece(3).z_rank:].T), ambient_dim=m.f2_dim(3))
@@ -324,46 +323,36 @@ def bockstein_vanishes_on(m: CohomologyModel, subspace: f2.Subspace) -> bool:
 # -- half products -------------------------------------------------------------
 
 
-def half_product_solutions(c: ZClass, v: ZClass, model) -> list[ZClass]:
-    """All solutions d of 2d = c v in degree 8 (one per 2-torsion element)."""
+def half_product_solutions(c: ZClass, v: ZClass, model) -> tuple[ZClass, list[ZClass]]:
+    """One solution d of 2d = c v in degree 8, and the order-2 classes
+    (o/2) e_t, one per even-order torsion summand e_t: the other solutions
+    are d plus the subset sums of these classes."""
     m = _cohomology(model)
     w = m.cup_z(c, v)
     if not m.rho2_map(w).is_zero():
         raise ModelInvariantError("product of the chosen lifts is not divisible by 2")
     orders = m.z_orders(8)
-    base = []
-    options: list[list[int]] = []
-    for coord, o in zip(w.coords, orders):
+    half, order_two = [], []
+    for t, (coord, o) in enumerate(zip(w.coords, orders)):
         coord = int(coord)
-        if o == 0:
-            if coord % 2:
-                raise ModelInvariantError("even product has an odd free coordinate")
-            base.append(coord // 2)
-            options.append([0])
-        elif o % 2:
-            base.append((coord * pow(2, -1, o)) % o)
-            options.append([0])
-        else:
-            if coord % 2:
-                raise ModelInvariantError("even product has an odd torsion coordinate")
-            base.append(coord // 2)
-            options.append([0, o // 2])
-    sols = [[]]
-    for coord, opts in zip(base, options):
-        sols = [s + [coord + o] for s in sols for o in opts]
-        if len(sols) > 256:
-            raise ModelInvariantError("half-product solution set unexpectedly large")
-    return [m.z(8, s) for s in sols]
+        if o % 2:
+            half.append((coord * pow(2, -1, o)) % o)
+            continue
+        if coord % 2:
+            raise ModelInvariantError(f"even product has an odd {'torsion' if o else 'free'} coordinate")
+        half.append(coord // 2)
+        if o:
+            order_two.append(m.z(8, [o // 2 if s == t else 0 for s in range(len(orders))]))
+    return m.z(8, half), order_two
 
 
 # -- the top invariant ---------------------------------------------------------
 
 
-def sigma_w4(model: ManifoldModel, sw: SWClasses | None = None):
+def sigma_w4(model: ManifoldModel, sw: SWClasses):
     """<w4 . phi_hat, [M]> for spin models: 0/1, or None when phi_hat is
     needed but absent.  w4 = 0 forces the value 0 without phi_hat."""
     m = model.cohomology
-    sw = sw or sw_classes(model)
     if not sw.w[2].is_zero():
         raise PreconditionError("the top invariant is defined for spin models only")
     w4 = sw.w[4]
@@ -374,14 +363,14 @@ def sigma_w4(model: ManifoldModel, sw: SWClasses | None = None):
     return m.pair(w4, model.phi_hat)
 
 
-def spinc_data(model, sw: SWClasses | None = None, rng=None) -> SpincData:
+def spinc_data(model, sw: SWClasses, rng=None) -> SpincData:
     """Choose integral lifts c of w2 and v of w6 plus a half product.
 
-    With ``rng`` the lifts are randomized inside their coset, which is how the
-    choice-independence guarantees are exercised.
+    With ``rng`` the lifts are randomized inside their coset and the half
+    product gains a random subset of the order-2 classes of degree 8, which
+    is how the choice-independence guarantees are exercised.
     """
     m = _cohomology(model)
-    sw = sw or sw_classes(model)
     if not sw.W3.is_zero():
         raise PreconditionError("integral lift data needs a vanishing degree-3 integral class")
     lift = (lambda x: random_integral_lift(model, x, rng)) if rng is not None else (
@@ -393,9 +382,7 @@ def spinc_data(model, sw: SWClasses | None = None, rng=None) -> SpincData:
         raise ModelInvariantError("w2 has no integral lift despite vanishing Bockstein")
     if v is None:
         raise ModelInvariantError("w6 has no integral lift: impossible for a closed manifold model with vanishing degree-3 class")
-    sols = half_product_solutions(c, v, model)
+    half, order_two = half_product_solutions(c, v, model)
     if rng is not None:
-        half = sols[int(rng.integers(0, len(sols)))]
-    else:
-        half = sols[0]
+        half = m.z(8, half.vec() + sum(int(rng.integers(0, 2)) * g.vec() for g in order_two))
     return SpincData(c=c, v=v, half_cv=half)

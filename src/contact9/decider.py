@@ -18,13 +18,13 @@ import numpy as np
 from . import f2
 from .charclasses import (
     CosetH8, ModelInvariantError, PreconditionError, SWClasses, WuClasses,
-    bockstein_vanishes_on, compute_dm, coset_reduce, half_product_solutions,
-    integral_lift, sigma_w4, spinc_data, sq2_image_subspace,
+    bockstein_vanishes_on, compute_dm, half_product_solutions, integral_lift,
+    sigma_w4, spinc_data, sq2_image_subspace,
 )
 from .model import CohomologyModel, ManifoldModel, ZClass, _reduce_rows, connected_sum, validate
 
 __all__ = [
-    "Outcome", "ObstructionStage", "MissingDatum", "Trail", "Verdict",
+    "Outcome", "ObstructionStage", "O8Branch", "MissingDatum", "Trail", "Verdict",
     "ValidationFailedError", "GradedIso", "Analysis", "analyse",
     "evaluate_omega_pc", "decide", "decide_connected_sum",
     "check_w7_theorem", "homotopy_invariance_check",
@@ -42,6 +42,16 @@ class ObstructionStage(str, Enum):
     O8 = "O8"      # degree-8 coset nonzero (non-spin branch)
     W8 = "W8"      # w8 nonzero (spin branch)
     O9 = "O9"      # top invariant equal to 1
+
+
+class O8Branch(str, Enum):
+    """How the degree-8 coset is obtained once the degree-3 class vanishes."""
+
+    SPIN = "spin"                    # the class of w8
+    W4_ZERO = "w4_zero"              # the zero coset
+    LIFT_FORMULA = "lift_formula"    # [w8 - rho2(cv/2)] from integral lifts
+    SUPPLIED = "supplied"            # the model's omega_pc
+    UNDETERMINED = "undetermined"    # neither the theory nor the data decide it
 
 
 class MissingDatum(str, Enum):
@@ -93,8 +103,10 @@ class Verdict:
 @dataclass(frozen=True)
 class Analysis:
     """The facts of one validated model that involve no choice: its Wu and
-    Stiefel-Whitney classes (with W3 and W7), the degree-one subspace D_M and
-    the subspace Sq^2(rho2 H^6) of H^8 that the degree-8 coset lives modulo.
+    Stiefel-Whitney classes (with W3 and W7), the degree-one subspace D_M,
+    the subspace Sq^2(rho2 H^6) of H^8 that the degree-8 coset lives modulo,
+    and, once W3 vanishes, the outcome of the degree-7 check, the o8 branch
+    and (spin branch only) the top invariant.
 
     Built once by ``analyse`` and passed explicitly; every run of the
     decision procedure on it repeats only the choice of integral lifts and
@@ -106,6 +118,9 @@ class Analysis:
     sw: SWClasses
     dm: f2.Subspace
     sq2_image: f2.Subspace
+    w7_vanishes: bool | None = None  # None when W3 != 0
+    branch: O8Branch | None = None   # None when W3 != 0
+    sigma: int | None = None         # on the spin branch, None when phi_hat is needed but absent
 
     def coset(self, x) -> CosetH8:
         """The degree-8 coset represented by x."""
@@ -125,7 +140,27 @@ def analyse(model: ManifoldModel) -> Analysis:
     if not m.orientable:
         raise PreconditionError("the decision procedure needs an orientable model")
     sw = report.sw
-    return Analysis(model, WuClasses(by_degree=report.wu), sw, compute_dm(model, sw), sq2_image_subspace(m, 6))
+    dm, sq2_image = compute_dm(model, sw), sq2_image_subspace(m, 6)
+    w7_vanishes = branch = sigma = None
+    if sw.W3.is_zero():
+        w7_vanishes = _w7_vanishes(m, sw)
+        if sw.w[2].is_zero():
+            branch, sigma = O8Branch.SPIN, sigma_w4(model, sw)
+        elif sw.w[4].is_zero():
+            branch = O8Branch.W4_ZERO
+        elif bockstein_vanishes_on(m, dm):
+            branch = O8Branch.LIFT_FORMULA
+            # half products of cv differ by the solutions of 2d = 0, the subset
+            # sums of the order-2 classes of H^8: the coset is well defined iff
+            # their reductions lie in the subspace
+            _, order_two = half_product_solutions(m.zero_z(2), m.zero_z(6), m)
+            if not all(sq2_image.contains(m.rho2_map(g).vec()) for g in order_two):
+                raise ModelInvariantError(
+                    "degree-8 coset depends on the half-product choice; contradicts well-definedness"
+                )
+        else:
+            branch = O8Branch.SUPPLIED if model.omega_pc is not None else O8Branch.UNDETERMINED
+    return Analysis(model, WuClasses(by_degree=report.wu), sw, dm, sq2_image, w7_vanishes, branch, sigma)
 
 
 def _analysis(model: ManifoldModel | Analysis) -> Analysis:
@@ -133,57 +168,41 @@ def _analysis(model: ManifoldModel | Analysis) -> Analysis:
 
 
 def evaluate_omega_pc(model: ManifoldModel | Analysis, *, rng=None) -> CosetH8 | None:
-    """The degree-8 obstruction coset, when the theory or the data determine it.
-
-    Branches: spin models evaluate to the class of w8 (the reduction subspace
-    is zero there); w4 = 0 forces the zero coset; when the Bockstein vanishes
-    on the relevant degree-one subspace the coset is [w8 - rho2(cv/2)] for
-    integral lifts c, v of w2, w6; otherwise the externally supplied value is
-    used, or None is returned.  Only the lifts and the half product depend on
-    ``rng``.
+    """The degree-8 obstruction coset on the analysis's o8 branch, or None
+    when neither the theory nor the data determine it.  Only the lifts and
+    the half product of the lift formula depend on ``rng``.
     """
     a = _analysis(model)
-    model, m, sw = a.model, a.model.cohomology, a.sw
-    if not sw.W3.is_zero():
+    m, w8 = a.model.cohomology, a.sw.w[8]
+    if a.branch is None:
         raise PreconditionError("the degree-8 coset needs a vanishing degree-3 integral class")
-    if sw.w[2].is_zero():
-        return a.coset(sw.w[8])
-    if sw.w[4].is_zero():
+    if a.branch is O8Branch.SPIN:
+        return a.coset(w8)
+    if a.branch is O8Branch.W4_ZERO:
         return a.coset(m.zero_f2(8))
-    if bockstein_vanishes_on(m, a.dm):
-        data = spinc_data(model, sw, rng=rng)
-        cosets = {a.coset(sw.w[8] + m.rho2_map(d)) for d in half_product_solutions(data.c, data.v, model)}
-        if len(cosets) != 1:
-            raise ModelInvariantError(
-                "degree-8 coset depends on the half-product choice; contradicts well-definedness"
-            )
-        return cosets.pop()
-    if model.omega_pc is not None:
-        return a.coset(model.omega_pc)
+    if a.branch is O8Branch.LIFT_FORMULA:
+        return a.coset(w8 + m.rho2_map(spinc_data(a.model, a.sw, rng=rng).half_cv))
+    if a.branch is O8Branch.SUPPLIED:
+        return a.coset(a.model.omega_pc)
     return None
 
 
 def check_w7_theorem(model: ManifoldModel | Analysis) -> bool:
-    """Three equivalent forms of the degree-7 vanishing statement, computed
-    independently; they must agree (their disagreement is an engine bug)."""
+    """The degree-7 vanishing statement, as ``analyse`` checked it."""
     a = _analysis(model)
-    if not a.sw.W3.is_zero():
+    if a.w7_vanishes is None:
         raise PreconditionError("the degree-7 vanishing statement assumes the degree-3 class vanishes")
-    return _w7_vanishes(a.model.cohomology, a.sw)
+    return a.w7_vanishes
 
 
 def _w7_vanishes(m: CohomologyModel, sw: SWClasses) -> bool:
+    """Three equivalent forms of the degree-7 vanishing statement, computed
+    independently; they must agree (their disagreement is an engine bug)."""
     w6 = sw.w[6]
     via_bockstein = sw.W7.is_zero()
     via_lift = integral_lift(m, w6) is not None
-    torsion_ok = True
-    piece3 = m.piece(3)
-    for t in range(len(piece3.z_torsion)):
-        coords = [0] * m.z_gens(3)
-        coords[piece3.z_rank + t] = 1
-        red = m.rho2_map(m.z(3, coords))
-        if m.eval_top(m.cup(red, w6)):
-            torsion_ok = False
+    torsion = m.basis_z(3)[m.piece(3).z_rank:]
+    torsion_ok = not any(m.eval_top(m.cup(m.rho2_map(e), w6)) for e in torsion)
     if not (via_bockstein == via_lift == torsion_ok):
         raise AssertionError(
             "inconsistent degree-7 checks: "
@@ -213,17 +232,16 @@ def decide(model: ManifoldModel | Analysis, seed: int | None = None) -> Verdict:
             label=label,
         )
 
-    if not _w7_vanishes(m, sw):
+    if not a.w7_vanishes:
         raise ModelInvariantError(
             "degree-7 integral class nonzero on a model with vanishing degree-3 class"
         )
     trail.o7 = m.zero_z(7)
 
-    spin = sw.w[2].is_zero()
     omega = evaluate_omega_pc(a, rng=rng)
     trail.o8 = omega
 
-    if spin:
+    if a.branch is O8Branch.SPIN:
         # the coset subspace vanishes for spin models, so omega is just [w8]
         if not omega.is_zero():
             return Verdict(
@@ -231,8 +249,7 @@ def decide(model: ManifoldModel | Analysis, seed: int | None = None) -> Verdict:
                 witness=f"w8 has coordinates {sw.w[8].bits}",
                 label=label,
             )
-        sigma = sigma_w4(model, sw)
-        trail.o9 = sigma
+        trail.o9 = sigma = a.sigma
         if sigma is None:
             return Verdict(
                 Outcome.UNDETERMINED, None, MissingDatum.PHI_HAT, trail,
@@ -296,16 +313,14 @@ def _sum_verdict_from_clauses(a: Analysis, b: Analysis, label, seed) -> Verdict:
             Outcome.NO_CONTACT, ObstructionStage.W3, None, trail,
             witness="a summand has nonzero degree-3 integral class", label=label,
         )
-    spin_a = sw_a.w[2].is_zero()
-    spin_b = sw_b.w[2].is_zero()
+    spin_a, spin_b = a.branch is O8Branch.SPIN, b.branch is O8Branch.SPIN
     if spin_a and spin_b:
         if not (sw_a.w[8].is_zero() and sw_b.w[8].is_zero()):
             return Verdict(
                 Outcome.NO_CONTACT, ObstructionStage.W8, None, trail,
                 witness="a summand has nonzero w8", label=label,
             )
-        sig_a = sigma_w4(a.model, sw_a)
-        sig_b = sigma_w4(b.model, sw_b)
+        sig_a, sig_b = a.sigma, b.sigma
         if sig_a is None or sig_b is None:
             return Verdict(
                 Outcome.UNDETERMINED, None, MissingDatum.PHI_HAT, trail,
@@ -433,7 +448,8 @@ def _verify_iso(a: ManifoldModel, b: ManifoldModel, iso: GradedIso):
         raise IsoRejected("supplied obstruction coset present on only one side")
     if a.omega_pc is not None:
         img = mb.f2(8, f2.mat_vec(iso.f2_maps[8], a.omega_pc.vec()))
-        if coset_reduce(img, b) != coset_reduce(b.omega_pc, b):
+        sub = sq2_image_subspace(mb, 6)
+        if CosetH8(img, sub) != CosetH8(b.omega_pc, sub):
             raise IsoRejected("supplied obstruction coset not preserved")
 
 

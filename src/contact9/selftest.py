@@ -14,13 +14,11 @@ import numpy as np
 
 from . import f2
 from .charclasses import (
-    bockstein_vanishes_on, compute_dm,
-    reduction_image_subspace, bockstein_kernel_subspace, sq2_image_subspace,
-    sw_classes, spinc_data, half_product_solutions,
+    bockstein_kernel_subspace, bockstein_vanishes_on, reduction_image_subspace, spinc_data, sw_classes,
 )
 from .cohomology import Cohomology
 from .complexes import cp2_9, random_complex, rp2_6, sphere, torus_7
-from .decider import ValidationFailedError, analyse, check_w7_theorem, decide
+from .decider import O8Branch, ValidationFailedError, analyse, check_w7_theorem, decide
 from .library import corpus, synthetic_spinc_models
 from .model import from_simplicial, random_model_iso, transform_model, validate
 from .simplicial import Cochain, coboundary, cup_i
@@ -222,21 +220,19 @@ def choice_independence_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_S
                     f"{model.label}: verdict changed under internal re-randomization",
                 )
         sw = analysis.sw
-        if sw.W3.is_zero() and not sw.w[2].is_zero() and not sw.w[4].is_zero():
-            if bockstein_vanishes_on(model.cohomology, analysis.dm):
-                reference = None
-                for _ in range(samples):
-                    data = spinc_data(model, sw, rng=rng)
-                    for d in half_product_solutions(data.c, data.v, model):
-                        cases += 1
-                        coset = analysis.coset(sw.w[8] + model.cohomology.rho2_map(d))
-                        if reference is None:
-                            reference = coset
-                        elif coset != reference:
-                            return SuiteResult(
-                                "choice_independence", False, cases,
-                                f"{model.label}: degree-8 coset depends on the lift choice",
-                            )
+        if analysis.branch is O8Branch.LIFT_FORMULA:
+            reference = None
+            for _ in range(samples):
+                data = spinc_data(model, sw, rng=rng)
+                cases += 1
+                coset = analysis.coset(sw.w[8] + model.cohomology.rho2_map(data.half_cv))
+                if reference is None:
+                    reference = coset
+                elif coset != reference:
+                    return SuiteResult(
+                        "choice_independence", False, cases,
+                        f"{model.label}: degree-8 coset depends on the lift choice",
+                    )
     return SuiteResult("choice_independence", True, cases)
 
 
@@ -245,18 +241,18 @@ def w7_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> SuiteR
     randomized valid relabelings/base-changes of them."""
     rng = np.random.default_rng(seed)
     cases = 0
-    spinc = [m for m in corpus() + synthetic_spinc_models() if sw_classes(m).W3.is_zero()]
+    spinc = [a for a in map(analyse, corpus() + synthetic_spinc_models()) if a.sw.W3.is_zero()]
     pool = list(spinc)
     for k in range(10):
-        src = spinc[k % len(spinc)]
-        maps = random_model_iso(src, rng, permutation_only=bool(k % 2))
-        pool.append(transform_model(src, *maps))
-    for model in pool:
-        cases += 1
+        src = spinc[k % len(spinc)].model
+        model = transform_model(src, *random_model_iso(src, rng, permutation_only=bool(k % 2)))
         try:
-            analysis = analyse(model)
+            pool.append(analyse(model))
         except ValidationFailedError as e:
-            return SuiteResult("w7", False, cases, f"{model.label}: mutation failed validation: {e.report}")
+            return SuiteResult("w7", False, len(pool) + 1, f"{model.label}: mutation failed validation: {e.report}")
+    for analysis in pool:
+        model = analysis.model
+        cases += 1
         if not check_w7_theorem(analysis):
             return SuiteResult("w7", False, cases, f"{model.label}: degree-7 integral class nonzero")
         if not analysis.sw.w[7].is_zero():
@@ -270,7 +266,8 @@ def square_identity_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPL
     cases = 0
     for model in corpus() + synthetic_spinc_models():
         m = model.cohomology
-        sw = sw_classes(model)
+        analysis = analyse(model)
+        sw, sub = analysis.sw, analysis.sq2_image
         w2, w4, w6 = sw.w[2], sw.w[4], sw.w[6]
         for y in m.basis_f2(6):
             cases += 1
@@ -282,7 +279,6 @@ def square_identity_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPL
             if m.cup(z, z) != m.cup(v4, z):
                 return SuiteResult("square_identities", False, cases, f"{model.label}: z^2 != (w4 + w2^2) z in degree 4")
         if sw.W3.is_zero():
-            sub = sq2_image_subspace(m, 6)
             for u in m.basis_z(2):
                 cases += 1
                 if not sub.contains(m.cup(w6, m.rho2_map(u)).vec()):
@@ -293,15 +289,14 @@ def square_identity_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPL
                     red = m.rho2_map(y)
                     if not sub.contains(m.cup(red, red).vec()):
                         return SuiteResult("square_identities", False, cases, f"{model.label}: rho2(y^2) outside the subspace")
-            dm = compute_dm(model, sw)  # includes the annihilator cross-check
-            if bockstein_vanishes_on(m, dm):
+            if bockstein_vanishes_on(m, analysis.dm):
                 for z in m.basis_f2(7):
                     cases += 1
                     if not sub.contains(m.sq_map(1, z).vec()):
                         return SuiteResult("square_identities", False, cases, f"{model.label}: Sq^1 H^7 outside the subspace")
-        if sw.w[2].is_zero() and sw.W3.is_zero():
+        if analysis.branch is O8Branch.SPIN:
             cases += 1
-            if sq2_image_subspace(m, 6).dim != 0:
+            if sub.dim != 0:
                 return SuiteResult("square_identities", False, cases, f"{model.label}: spin model with nonzero subspace")
     return SuiteResult("square_identities", True, cases)
 

@@ -167,7 +167,7 @@ def test_criterion_4_choice_independence():
         sw = sw_classes(m)
         if not sw.W3.is_zero() or sw.w[2].is_zero():
             report(4, False, f"{m.label}: not in the relevant regime")
-        if not bockstein_vanishes_on(m.cohomology, compute_dm(m)):
+        if not bockstein_vanishes_on(m.cohomology, compute_dm(m, sw)):
             report(4, False, f"{m.label}: hypothesis fails")
         reference = None
         for _ in range(20):
@@ -278,7 +278,7 @@ def test_criterion_7_square_identity_suite():
                     red = m.rho2_map(y)
                     if not sub.contains(m.cup(red, red).vec()):
                         violations.append(f"{model.label}: (e)")
-            if bockstein_vanishes_on(m, compute_dm(model)):
+            if bockstein_vanishes_on(m, compute_dm(model, sw)):
                 for z in m.basis_f2(7):
                     if not sub.contains(m.sq_map(1, z).vec()):
                         violations.append(f"{model.label}: (c)")

@@ -148,25 +148,25 @@ def test_random_integral_lift_is_a_lift():
 
 def test_dm_simply_connected_trivial():
     m = library("M1_surgered")
-    dm = compute_dm(m)
+    dm = compute_dm(m, sw_classes(m))
     assert dm.dim == 0
 
 
 def test_dm_spin_is_everything():
     m = library("S1xHP2")
-    dm = compute_dm(m)
+    dm = compute_dm(m, sw_classes(m))
     assert dm.dim == m.cohomology.f2_dim(1)
 
 
 def test_dm_s1xcp4_trivial():
     # s . w2 is nonzero while the degree-3 torsion vanishes
     m = library("S1xCP4")
-    assert compute_dm(m).dim == 0
+    assert compute_dm(m, sw_classes(m)).dim == 0
 
 
 def test_dm_matches_annihilator_on_corpus():
     for m in [library(n) for n in ("S9", "S1xHP2", "S1xCP4", "Dold_5_2")] + synthetic_spinc_models():
-        dm = compute_dm(m)  # raises on mismatch
+        dm = compute_dm(m, sw_classes(m))  # raises on mismatch
         assert dm == annihilator_subspace(m.cohomology)
 
 
@@ -225,16 +225,19 @@ def test_half_product_unique_free_case():
     beta = [np.zeros((pieces[d + 1].z_gens if d < 9 else 0, pieces[d].f2_dim), dtype=np.int64) for d in range(10)]
     cup_int = {(2, 6): np.array([[[2]]], dtype=object)}
     m = CohomologyModel(9, pieces, rho2, beta, {}, {}, cup_int, orientable=True, label="stub")
-    sols = half_product_solutions(m.basis_z(2)[0], m.basis_z(6)[0], m)
-    assert len(sols) == 1 and sols[0].coords == (1,)
+    half, order_two = half_product_solutions(m.basis_z(2)[0], m.basis_z(6)[0], m)
+    assert order_two == [] and half.coords == (1,)
 
 
 def test_half_product_two_torsion_multiplicity():
     m = synthetic_spinc_models()[0]  # the torsion-rich product model
     sw = sw_classes(m)
     data = spinc_data(m, sw)
-    sols = half_product_solutions(data.c, data.v, m)
-    assert len(sols) == 2  # one per 2-torsion element of the degree-8 group
+    half, order_two = half_product_solutions(data.c, data.v, m)
+    assert data.half_cv == half and half.coords == (0,)
+    assert len(order_two) == 1  # one per even-order torsion summand of the degree-8 group
+    sols = [half, m.cohomology.z(8, half.vec() + order_two[0].vec())]
+    assert [d.coords for d in sols] == [(0,), (1,)]
     cosets = {coset_reduce(sw.w[8] + m.cohomology.rho2_map(d), m) for d in sols}
     assert len(cosets) == 1
 
@@ -256,37 +259,41 @@ def test_half_product_rejects_odd_products():
 # -- the top invariant --------------------------------------------------------------
 
 
+def _sigma(m):
+    return sigma_w4(m, sw_classes(m))
+
+
 def test_sigma_s9_zero():
-    assert sigma_w4(library("S9")) == 0
+    assert _sigma(library("S9")) == 0
 
 
 def test_sigma_m1_one():
-    assert sigma_w4(library("M1_surgered")) == 1
+    assert _sigma(library("M1_surgered")) == 1
 
 
 def test_sigma_s1xhp2_one():
-    assert sigma_w4(library("S1xHP2")) == 1
+    assert _sigma(library("S1xHP2")) == 1
 
 
 def test_sigma_requires_spin():
     with pytest.raises(PreconditionError, match="spin"):
-        sigma_w4(library("S1xCP4"))
+        _sigma(library("S1xCP4"))
 
 
 def test_sigma_absent_without_phi():
     m = library("M1_surgered")
     stripped = ManifoldModel(m.cohomology, phi_hat=None, label="M1 (no data)")
-    assert sigma_w4(stripped) is None
+    assert _sigma(stripped) is None
 
 
 def test_sigma_zero_without_phi_when_w4_vanishes():
     m = library("S1xHP2")
     stripped = ManifoldModel(m.cohomology, phi_hat=None, label="M0 (no data)")
     # w4 is nonzero here so the class is genuinely needed ...
-    assert sigma_w4(m) == 1
+    assert _sigma(m) == 1
     # ... but with w4 = 0 no class is needed at all
     s9 = library("S9")
-    assert sigma_w4(ManifoldModel(s9.cohomology, phi_hat=None, label="S9 (no data)")) == 0
+    assert _sigma(ManifoldModel(s9.cohomology, phi_hat=None, label="S9 (no data)")) == 0
 
 
 # -- choice independence suites ------------------------------------------------------
@@ -301,7 +308,7 @@ def test_omega_coset_choice_independence():
         assert sw.W3.is_zero()
         if sw.w[2].is_zero():
             continue
-        dm = compute_dm(m)
+        dm = compute_dm(m, sw)
         assert bockstein_vanishes_on(m.cohomology, dm)
         reference = None
         for _ in range(20):
@@ -365,6 +372,6 @@ def test_half_product_odd_torsion_inverts_two():
     ]
     cup_int = {(2, 6): np.array([[[1]]], dtype=object)}  # c v = g, order 3
     m = CohomologyModel(9, pieces, rho2, beta, {}, {}, cup_int, orientable=True, label="stub")
-    sols = half_product_solutions(m.basis_z(2)[0], m.basis_z(6)[0], m)
+    half, order_two = half_product_solutions(m.basis_z(2)[0], m.basis_z(6)[0], m)
     # 2 * 2 = 4 = 1 mod 3, so d = 2g
-    assert len(sols) == 1 and sols[0].coords == (2,)
+    assert order_two == [] and half.coords == (2,)

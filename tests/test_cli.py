@@ -271,16 +271,49 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
 
 def test_decide_analyses_once_and_reruns_only_the_lifts(monkeypatch):
-    """One validation and nine Wu solves per CLI decide; the base run and
-    the twenty seeded samples share them, and each seeded sample still draws
-    its own lifts."""
-    from contact9 import charclasses, model
+    """One validation, nine Wu solves and one run of each choice-free check
+    per CLI decide; the base run and the twenty seeded samples share them,
+    and each seeded sample still draws its own lifts and half product."""
+    from contact9 import charclasses, decider, model
 
     validations = _count_calls(monkeypatch, model, "validate")
     solves = _count_calls(monkeypatch, charclasses, "solve_wu_degree")
     lifts = _count_calls(monkeypatch, charclasses, "spinc_data")
+    w7 = _count_calls(monkeypatch, decider, "_w7_vanishes")
+    sigma = _count_calls(monkeypatch, charclasses, "sigma_w4")
+    bockstein = _count_calls(monkeypatch, charclasses, "bockstein_vanishes_on")
+    halves = _count_calls(monkeypatch, charclasses, "half_product_solutions")
     code, _ = run(Command("decide", ["library:M3_sum"]))
     assert code == EXIT_CODES["no_contact"]
     assert len(validations) == 1
     assert len(solves) == 9
     assert sum(kw.get("rng") is not None for kw in lifts) == 20
+    assert len(w7) == 1
+    assert len(bockstein) == 1
+    assert len(halves) <= 22
+    w7.clear()
+    code, _ = run(Command("decide", ["library:S9"]))
+    assert code == EXIT_CODES["ok"]
+    assert len(w7) == 1
+    assert len(sigma) == 1
+
+
+def test_decide_past_the_old_half_product_cap(tmp_path):
+    """The 9-fold connected sum of RP5xCP2 has H^8 = (Z/2)^9, so 512 half
+    products: it decides contact, by the summand clauses and directly, and
+    the CLI decides its document."""
+    from functools import reduce
+
+    from contact9.decider import Outcome, decide_connected_sum
+    from contact9.library import synthetic_spinc_models
+    from contact9.model import connected_sum
+
+    x = synthetic_spinc_models()[0]
+    eight = reduce(connected_sum, [x] * 8)
+    assert decide_connected_sum(eight, x).outcome == Outcome.CONTACT
+    nine = connected_sum(eight, x)
+    assert nine.cohomology.z_orders(8) == (2,) * 9
+    path = tmp_path / "nine.json"
+    path.write_text(emit_model(nine))
+    code, _ = run(Command("decide", [str(path)]))
+    assert code == EXIT_CODES["ok"]
