@@ -11,7 +11,9 @@ orders and the generators.  All arithmetic is exact integer arithmetic.
 Every computed group carries explicit representative cocycles, and cocycles
 convert back to generator coordinates, which is what makes the class-level
 operations (cup, Steenrod squares, Bocksteins, coefficient reductions) exact
-and testable.
+and testable.  ``classes_of`` converts any number of cocycles of one ring and
+degree in one product, so ``model.from_simplicial`` solves all its tables
+once per ring and degree.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from math import gcd
 import numpy as np
 
 from .intlinalg import SNF, safe_matmul, snf_columns, snf_rows
-from .simplicial import Cochain, SimplicialComplex, coboundary, coboundary_matrix, cup, cup_i
+from .simplicial import (
+    Cochain, SimplicialComplex, bockstein, coboundary, coboundary_matrix, cup, reduce_mod, square,
+)
 
 __all__ = ["GradedGroup", "CohomologyClass", "Cohomology", "cohomology"]
 
@@ -198,18 +202,30 @@ class Cohomology:
 
     def class_of(self, cochain: Cochain) -> CohomologyClass:
         """Coordinates of a cocycle's class; raises if it is not a cocycle."""
-        if cochain.complex is not self.complex:
-            raise ValueError("cochain belongs to a different complex")
-        d = cochain.degree
-        if not coboundary(cochain).is_zero():
-            raise ValueError("not a cocycle")
-        data = self._degree_data(cochain.modulus, d)
+        return self.classes_of(cochain.modulus, cochain.degree, [cochain])[0]
+
+    def classes_of(self, modulus: int, degree: int, cochains) -> list[CohomologyClass]:
+        """Classes of cocycles of one ring and degree, solved in one product."""
+        cochains = list(cochains)
+        for c in cochains:
+            if c.complex is not self.complex:
+                raise ValueError("cochain belongs to a different complex")
+            if (c.modulus, c.degree) != (modulus, degree):
+                raise ValueError("classes_of needs cochains of one ring and degree")
+            if not coboundary(c).is_zero():
+                raise ValueError("not a cocycle")
+        if not cochains:
+            return []
+        data = self._degree_data(modulus, degree)
         if data.group.n_generators == 0:
-            return CohomologyClass(cochain.modulus, d, ())
-        vec = np.asarray(cochain.vector(), dtype=object).reshape(-1, 1)
-        y = safe_matmul(data.adapt, _divide_rows(safe_matmul(data.coords, vec), data.scale))[data.gen_cols, 0]
-        coords = tuple(int(c) % t if t else int(c) for c, t in zip(y, data.group.orders))
-        return CohomologyClass(cochain.modulus, d, coords)
+            return [CohomologyClass(modulus, degree, ())] * len(cochains)
+        vecs = np.asarray([c.vector() for c in cochains], dtype=object).T
+        y = safe_matmul(data.adapt, _divide_rows(safe_matmul(data.coords, vecs), data.scale))[data.gen_cols]
+        orders = data.group.orders
+        return [
+            CohomologyClass(modulus, degree, tuple(int(c) % t if t else int(c) for c, t in zip(col, orders)))
+            for col in y.T
+        ]
 
     def representative(self, cls: CohomologyClass) -> Cochain:
         data = self._degree_data(cls.modulus, cls.degree)
@@ -248,23 +264,13 @@ class Cohomology:
         p = a.degree
         if k > p:
             return self.zero_class(2, p + k)
-        rep = self.representative(a)
-        return self.class_of(cup_i(rep, rep, p - k))
+        return self.class_of(square(self.representative(a), k))
 
     def bockstein(self, a: CohomologyClass) -> CohomologyClass:
         """Connecting map H^i(X; Z/2^j) -> H^{i+1}(X; Z): lift, coboundary, divide."""
-        m = a.modulus
-        if m < 2:
+        if a.modulus < 2:
             raise ValueError("Bockstein acts on mod-2^j classes")
-        rep = self.representative(a)
-        lift = Cochain(self.complex, rep.degree, 0, dict(rep.values))
-        dlift = coboundary(lift)
-        vals = {}
-        for s, c in dlift.values.items():
-            if c % m:
-                raise AssertionError("Bockstein lift produced a coboundary not divisible by the modulus")
-            vals[s] = c // m
-        return self.class_of(Cochain(self.complex, rep.degree + 1, 0, vals))
+        return self.class_of(bockstein(self.representative(a)))
 
     def reduce_mod(self, j: int, a: CohomologyClass) -> CohomologyClass:
         """Coefficient reduction H^i(X; Z) -> H^i(X; Z/2^j)."""
@@ -272,9 +278,7 @@ class Cohomology:
             raise ValueError("reduce_mod acts on integral classes")
         if j < 1:
             raise ValueError("modulus exponent must be positive")
-        m = 2 ** j
-        rep = self.representative(a)
-        return self.class_of(Cochain(self.complex, rep.degree, m, dict(rep.values)))
+        return self.class_of(reduce_mod(self.representative(a), 2 ** j))
 
 
 def cohomology(x: SimplicialComplex, modulus: int = 0) -> list[GradedGroup]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import f2
 from .cohomology import Cohomology
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, bockstein, cup, reduce_mod, square
 
 if TYPE_CHECKING:
     from .charclasses import SWClasses
@@ -264,15 +264,20 @@ class CohomologyModel:
         out = _f2_einsum("x,y,xyz->z", a.vec(), b.vec(), self.cup_tensor(a.degree, b.degree))
         return F2Class(a.degree + b.degree, tuple(int(v) for v in out))
 
+    def has_cup_z(self, i: int, j: int) -> bool:
+        """Whether ``cup_z`` multiplies degrees i and j: the integral product
+        tensor is declared, or every product is zero for want of generators."""
+        return (i, j) in self.cup_int or i + j > self.dimension or not (
+            self.z_gens(i) and self.z_gens(j) and self.z_gens(i + j)
+        )
+
     def cup_z(self, a: ZClass, b: ZClass) -> ZClass:
         i, j = a.degree, b.degree
-        if i + j > self.dimension:
-            return self.zero_z(i + j)
-        t = self.cup_int.get((i, j))
-        if t is None:
-            if self.z_gens(i) == 0 or self.z_gens(j) == 0 or self.z_gens(i + j) == 0:
-                return self.zero_z(i + j)
+        if not self.has_cup_z(i, j):
             raise KeyError(f"integral product tensor ({i},{j}) missing")
+        t = self.cup_int.get((i, j)) if i + j <= self.dimension else None
+        if t is None:
+            return self.zero_z(i + j)
         return self.z(i + j, np.einsum("x,y,xyc->c", a.vec(), b.vec(), t))
 
     def sq_map(self, k: int, a: F2Class) -> F2Class:
@@ -816,53 +821,55 @@ def from_simplicial(x: SimplicialComplex, label: str = "") -> CohomologyModel:
     if x.euler_characteristic() != sum((-1) ** d * p.f2_dim for d, p in enumerate(pieces)):
         raise ArithmeticError("mod-2 Betti numbers disagree with the Euler characteristic")
 
-    rho2 = []
-    for d in range(n + 1):
-        cols = [coh.reduce_mod(1, g).coords for g in coh.basis_classes(0, d)]
-        mtx = np.zeros((pieces[d].f2_dim, pieces[d].z_gens), dtype=np.uint8)
-        for c, col in enumerate(cols):
-            mtx[:, c] = col
-        rho2.append(mtx)
+    # Every table entry is the class of one cocycle.  Queue the cocycles by
+    # target (ring, degree), solve each target once, then slice the tables out.
+    zreps = [coh.group(0, d).basis_cocycles for d in range(n + 1)]
+    f2reps = [coh.group(2, d).basis_cocycles for d in range(n + 1)]
+    queued: dict[tuple[int, int], list] = {}
 
-    beta = []
-    for d in range(n + 1):
-        tgt = pieces[d + 1].z_gens if d + 1 <= n else 0
-        mtx = np.zeros((tgt, pieces[d].f2_dim), dtype=np.int64)
-        if tgt:
-            for c, e in enumerate(coh.basis_classes(2, d)):
-                mtx[:, c] = coh.bockstein(e).coords
-        beta.append(mtx)
+    def queue(modulus: int, degree: int, cochains: list) -> tuple:
+        batch = queued.setdefault((modulus, degree), [])
+        batch.extend(cochains)
+        return (modulus, degree), slice(len(batch) - len(cochains), len(batch))
 
-    sq = {}
-    for k in range(1, n + 1):
-        for d in range(n + 1 - k):
-            if not (pieces[d].f2_dim and pieces[d + k].f2_dim) or k > d:
-                continue
-            mtx = np.zeros((pieces[d + k].f2_dim, pieces[d].f2_dim), dtype=np.uint8)
-            for c, e in enumerate(coh.basis_classes(2, d)):
-                mtx[:, c] = coh.sq(k, e).coords
-            if mtx.any():
-                sq[(k, d)] = mtx
-
-    cup2 = {}
-    cup_int = {}
+    rho2_q = [queue(2, d, [reduce_mod(z, 2) for z in zreps[d]]) for d in range(n + 1)]
+    beta_q = {d: queue(0, d + 1, [bockstein(e) for e in f2reps[d]]) for d in range(n) if pieces[d + 1].z_gens}
+    sq_q = {
+        (k, d): queue(2, d + k, [square(e, k) for e in f2reps[d]])
+        for k in range(1, n + 1)
+        for d in range(k, n + 1 - k)
+        if pieces[d].f2_dim and pieces[d + k].f2_dim
+    }
+    cup2_q, cup_int_q = {}, {}
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            di, dj, dt = pieces[i].f2_dim, pieces[j].f2_dim, pieces[i + j].f2_dim
-            if di and dj and dt:
-                t = np.zeros((di, dj, dt), dtype=np.uint8)
-                for xx, ea in enumerate(coh.basis_classes(2, i)):
-                    for yy, eb in enumerate(coh.basis_classes(2, j)):
-                        t[xx, yy, :] = coh.cup(ea, eb).coords
-                cup2[(i, j)] = t
-            zi, zj, zt = pieces[i].z_gens, pieces[j].z_gens, pieces[i + j].z_gens
-            if zi and zj and zt:
-                t = np.zeros((zi, zj, zt), dtype=object)
-                for xx, ga in enumerate(coh.basis_classes(0, i)):
-                    for yy, gb in enumerate(coh.basis_classes(0, j)):
-                        for cc, val in enumerate(coh.cup(ga, gb).coords):
-                            t[xx, yy, cc] = int(val)
-                cup_int[(i, j)] = t
+            if pieces[i].f2_dim and pieces[j].f2_dim and pieces[i + j].f2_dim:
+                cup2_q[(i, j)] = queue(2, i + j, [cup(a, b) for a in f2reps[i] for b in f2reps[j]])
+            if pieces[i].z_gens and pieces[j].z_gens and pieces[i + j].z_gens:
+                cup_int_q[(i, j)] = queue(0, i + j, [cup(a, b) for a in zreps[i] for b in zreps[j]])
+    solved = {key: coh.classes_of(*key, batch) for key, batch in queued.items() if batch}
+
+    def coords(ticket: tuple, dtype) -> np.ndarray:
+        """Coordinates of a queued slice, one row per cocycle."""
+        (modulus, degree), rows = ticket
+        classes = solved.get((modulus, degree), [])[rows]
+        width = coh.group(modulus, degree).n_generators
+        return np.array([c.coords for c in classes], dtype=dtype).reshape(len(classes), width)
+
+    rho2 = [coords(t, np.uint8).T for t in rho2_q]
+    beta = [
+        coords(beta_q[d], np.int64).T if d in beta_q else np.zeros((0, pieces[d].f2_dim), dtype=np.int64)
+        for d in range(n + 1)
+    ]
+    sq = {key: mtx for key, t in sq_q.items() if (mtx := coords(t, np.uint8).T).any()}
+    cup2 = {
+        (i, j): coords(t, np.uint8).reshape(pieces[i].f2_dim, pieces[j].f2_dim, -1)
+        for (i, j), t in cup2_q.items()
+    }
+    cup_int = {
+        (i, j): coords(t, object).reshape(pieces[i].z_gens, pieces[j].z_gens, -1)
+        for (i, j), t in cup_int_q.items()
+    }
 
     top = pieces[n]
     if top.f2_dim != 1:

@@ -18,7 +18,10 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from functools import lru_cache
 
-__all__ = ["SimplicialComplex", "Cochain", "coboundary", "cup", "cup_i", "RingMismatchError"]
+__all__ = [
+    "SimplicialComplex", "Cochain", "coboundary", "cup", "cup_i", "square", "bockstein", "reduce_mod",
+    "RingMismatchError",
+]
 
 
 class RingMismatchError(ValueError):
@@ -277,3 +280,25 @@ def cup_i(x: Cochain, y: Cochain, i: int) -> Cochain:
         if total:
             out[sigma] = 1
     return Cochain(cx, n, 2, out)
+
+
+def square(x: Cochain, k: int) -> Cochain:
+    """Sq^k of a mod-2 cocycle of degree p >= k: x cup_{p-k} x."""
+    return cup_i(x, x, x.degree - k)
+
+
+def bockstein(x: Cochain) -> Cochain:
+    """Integral cocycle d(lift x) / m of a mod-m cocycle x (the connecting map)."""
+    m = x.modulus
+    lift = coboundary(Cochain(x.complex, x.degree, 0, x.values))
+    vals = {}
+    for s, c in lift.values.items():
+        if c % m:
+            raise AssertionError("Bockstein lift produced a coboundary not divisible by the modulus")
+        vals[s] = c // m
+    return Cochain(x.complex, x.degree + 1, 0, vals)
+
+
+def reduce_mod(x: Cochain, modulus: int) -> Cochain:
+    """The cochain x with its coefficients reduced modulo ``modulus``."""
+    return Cochain(x.complex, x.degree, modulus, x.values)

@@ -317,3 +317,19 @@ def test_decide_past_the_old_half_product_cap(tmp_path):
     path.write_text(emit_model(nine))
     code, _ = run(Command("decide", [str(path)]))
     assert code == EXIT_CODES["ok"]
+
+
+def test_missing_integral_product_tensor_is_a_precondition(tmp_path):
+    """M3_sum decides by the lift formula, which multiplies H^2 by H^6 over
+    Z: without the (2,6) integral products its document validates, but
+    ``decide`` and ``classes`` refuse it and name the tensor."""
+    doc = json.loads(emit_model(library("M3_sum")))
+    doc["cupZ"] = [e for e in doc["cupZ"] if e["degrees"] != [2, 6]]
+    doc["cupZ_pairs"] = [p for p in doc["cupZ_pairs"] if p != [2, 6]]
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps(doc))
+    assert run(Command("validate", [str(path)]))[0] == EXIT_CODES["ok"]
+    for verb in ("decide", "classes"):
+        code, report = run(Command(verb, [str(path)]))
+        assert code == EXIT_CODES["invalid"]
+        assert any("integral product tensor (2,6)" in w for w in report["warnings"])

@@ -7,7 +7,7 @@ from contact9 import intlinalg
 from contact9.cohomology import Cohomology, _divide_rows, cohomology, pullback_cochain
 from contact9.complexes import cp2_9, rp2_6, rp3_40, sphere, torus_7
 from contact9.model import from_simplicial
-from contact9.simplicial import SimplicialComplex
+from contact9.simplicial import Cochain, SimplicialComplex, coboundary
 
 
 def f2_rank_naive(mat):
@@ -264,6 +264,71 @@ def test_each_coboundary_and_relation_lattice_is_factorised_once(monkeypatch, ma
     assert calls.count((False, True)) == x.dimension + 1
     assert calls.count((True, False)) == n_groups
     assert len(calls) == x.dimension + 1 + n_groups
+
+
+@pytest.mark.parametrize("make, n_solves", [(cp2_9, 6), (rp3_40, 7)])
+def test_from_simplicial_solves_each_ring_and_degree_once(monkeypatch, make, n_solves):
+    """Every class of the tables comes from one ``classes_of`` solve per
+    nonempty (ring, degree) target, and none from ``class_of``."""
+    solves, singles = [], []
+    batched, single = Cohomology.classes_of, Cohomology.class_of
+
+    def counted_batch(self, modulus, degree, cochains):
+        solves.append((modulus, degree))
+        return batched(self, modulus, degree, cochains)
+
+    def counted_single(self, cochain):
+        singles.append(cochain)
+        return single(self, cochain)
+
+    monkeypatch.setattr(Cohomology, "classes_of", counted_batch)
+    monkeypatch.setattr(Cohomology, "class_of", counted_single)
+    from_simplicial(make())
+    assert len(solves) == len(set(solves)) == n_solves
+    assert singles == []
+
+
+def _batch(x, modulus, degree, rng):
+    """The basis cocycles, then coboundaries, then each basis cocycle plus a coboundary."""
+    reps = list(Cohomology(x).group(modulus, degree).basis_cocycles)
+    exact = [
+        coboundary(Cochain.from_vector(x, degree - 1, modulus, rng.integers(-3, 4, x.n_simplices(degree - 1))))
+        if degree
+        else Cochain(x, 0, modulus, {})
+        for _ in range(3)
+    ]
+    return reps, exact, [r + e for r, e in zip(reps, exact * len(reps))]
+
+
+@pytest.mark.parametrize("make", [cp2_9, rp2_6, torus_7])
+@pytest.mark.parametrize("modulus", [0, 2, 4])
+def test_classes_of_agrees_with_class_of(make, modulus):
+    x = make()
+    coh = Cohomology(x)
+    rng = np.random.default_rng(modulus)
+    for d in range(x.dimension + 1):
+        reps, exact, shifted = _batch(x, modulus, d, rng)
+        batch = reps + exact + shifted
+        classes = coh.classes_of(modulus, d, batch)
+        assert classes == [coh.class_of(c) for c in batch], (x, modulus, d)
+        units = [tuple(int(k == i) for k in range(len(reps))) for i in range(len(reps))]
+        assert [c.coords for c in classes] == units + [(0,) * len(reps)] * len(exact) + units
+
+
+def test_classes_of_rejects_bad_batches():
+    x = rp2_6()
+    coh = Cohomology(x)
+    rep = coh.group(2, 1).basis_cocycles[0]
+    assert coh.classes_of(2, 1, []) == []
+    with pytest.raises(ValueError, match="not a cocycle"):
+        coh.classes_of(2, 0, [coh.group(2, 0).basis_cocycles[0], Cochain(x, 0, 2, {(x.vertices[0],): 1})])
+    with pytest.raises(ValueError, match="one ring and degree"):
+        coh.classes_of(2, 1, [rep, Cochain(x, 1, 4, rep.values)])
+    with pytest.raises(ValueError, match="one ring and degree"):
+        coh.classes_of(2, 1, [rep, coh.group(2, 2).basis_cocycles[0]])
+    other = rp2_6()
+    with pytest.raises(ValueError, match="different complex"):
+        coh.classes_of(2, 1, [rep, Cochain(other, 1, 2, rep.values)])
 
 
 def test_lattice_coordinates_must_divide_exactly():

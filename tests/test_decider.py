@@ -13,9 +13,10 @@ from contact9.decider import (
     ValidationFailedError, _verify_iso, analyse, check_w7_theorem, decide, decide_connected_sum,
     evaluate_omega_pc, homotopy_invariance_check,
 )
+from contact9.complexes import sphere
 from contact9.library import LIBRARY_NAMES, base_models, library, synthetic_spinc_models
 from contact9.model import (
-    CohomologyModel, GradedPiece, ManifoldModel, build_product, connected_sum,
+    CohomologyModel, GradedPiece, ManifoldModel, build_product, connected_sum, from_simplicial,
     random_model_iso, transform_model,
 )
 
@@ -106,6 +107,12 @@ def test_omega_pc_examples():
 def test_omega_pc_requires_spinc():
     with pytest.raises(PreconditionError):
         evaluate_omega_pc(library("Dold_5_2"))
+
+
+def test_sphere9_triangulation_decides_contact():
+    """The boundary of the 10-simplex, through the simplicial engine."""
+    m = from_simplicial(sphere(9), label="dDelta10")
+    assert decide(ManifoldModel(m, label="dDelta10")).outcome == Outcome.CONTACT
 
 
 def test_omega_pc_w4_zero_branch():
