@@ -328,6 +328,8 @@ def half_product_solutions(c: ZClass, v: ZClass, model) -> tuple[ZClass, list[ZC
     (o/2) e_t, one per even-order torsion summand e_t: the other solutions
     are d plus the subset sums of these classes."""
     m = _cohomology(model)
+    if not m.has_cup_z(c.degree, v.degree):
+        raise PreconditionError(f"half products need the integral product tensor ({c.degree},{v.degree}) (cupZ)")
     w = m.cup_z(c, v)
     if not m.rho2_map(w).is_zero():
         raise ModelInvariantError("product of the chosen lifts is not divisible by 2")

@@ -150,8 +150,6 @@ def analyse(model: ManifoldModel) -> Analysis:
             branch = O8Branch.W4_ZERO
         elif bockstein_vanishes_on(m, dm):
             branch = O8Branch.LIFT_FORMULA
-            if not m.has_cup_z(2, 6):
-                raise PreconditionError("the lift formula needs the integral product tensor (2,6) (cupZ)")
             # half products of cv differ by the solutions of 2d = 0, the subset
             # sums of the order-2 classes of H^8: the coset is well defined iff
             # their reductions lie in the subspace

@@ -319,17 +319,24 @@ def test_decide_past_the_old_half_product_cap(tmp_path):
     assert code == EXIT_CODES["ok"]
 
 
-def test_missing_integral_product_tensor_is_a_precondition(tmp_path):
-    """M3_sum decides by the lift formula, which multiplies H^2 by H^6 over
-    Z: without the (2,6) integral products its document validates, but
-    ``decide`` and ``classes`` refuse it and name the tensor."""
-    doc = json.loads(emit_model(library("M3_sum")))
+def _without_integral_products_26(name: str, path) -> str:
+    doc = json.loads(emit_model(library(name)))
     doc["cupZ"] = [e for e in doc["cupZ"] if e["degrees"] != [2, 6]]
     doc["cupZ_pairs"] = [p for p in doc["cupZ_pairs"] if p != [2, 6]]
-    path = tmp_path / "m3.json"
     path.write_text(json.dumps(doc))
-    assert run(Command("validate", [str(path)]))[0] == EXIT_CODES["ok"]
-    for verb in ("decide", "classes"):
-        code, report = run(Command(verb, [str(path)]))
-        assert code == EXIT_CODES["invalid"]
+    return str(path)
+
+
+def test_missing_integral_product_tensor_is_a_precondition(tmp_path):
+    """Half products multiply H^2 by H^6 over Z.  Without the (2,6) integral
+    products a document still validates; M3_sum, which decides by the lift
+    formula, is refused by ``decide`` and ``classes``, and S1xCP4 (w4 = 0)
+    decides but its spin^c class data is refused, each naming the tensor."""
+    m3 = _without_integral_products_26("M3_sum", tmp_path / "m3.json")
+    s1cp4 = _without_integral_products_26("S1xCP4", tmp_path / "s1cp4.json")
+    assert run(Command("validate", [m3]))[0] == EXIT_CODES["ok"]
+    assert run(Command("decide", [s1cp4]))[0] == EXIT_CODES["ok"]
+    for verb, path in (("decide", m3), ("classes", m3), ("classes", s1cp4)):
+        code, report = run(Command(verb, [path]))
+        assert code == EXIT_CODES["invalid"], (verb, path)
         assert any("integral product tensor (2,6)" in w for w in report["warnings"])
