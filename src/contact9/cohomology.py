@@ -23,7 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from .intlinalg import SNF, safe_matmul, snf_columns, snf_rows
+from .intlinalg import SNF, max_abs, safe_matmul, snf_columns, snf_rows
 from .simplicial import (
     Cochain, SimplicialComplex, bockstein, coboundary, coboundary_matrix, cup, reduce_mod, square,
 )
@@ -100,7 +100,7 @@ def _divide_rows(y: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def _scale_rows(mat: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Exact ``factors * mat`` for a column of factors, on Python ints if int64 could wrap."""
-    if mat.dtype != object and (not mat.size or int(np.abs(mat).max()) * int(factors.max()) < (1 << 62)):
+    if mat.dtype != object and max_abs(mat) * max_abs(factors) < (1 << 62):
         return factors * mat
     return factors.astype(object) * mat.astype(object)
 

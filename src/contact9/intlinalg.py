@@ -5,7 +5,17 @@ Matrices are numpy arrays.  Computations run on int64 with an explicit
 magnitude guard: entries are kept far enough below the int64 bound that no
 single elimination step can wrap.  If the guard trips, the computation
 restarts on object-dtype arrays holding Python big integers, so results are
-always exact.
+always exact.  Every magnitude bound is read as ``max(m.max(), -m.min())`` in
+Python ints, since ``np.abs`` maps -2^63 to itself, and the sums of quotient
+sizes that grow the bound are exact too.
+
+The elimination pivots on the first entry of least nonzero size in
+row-major order of the residual block.  When the block holds a ±1, that is
+its first ±1, found by scanning a few rows at a time; only a block without
+a unit is searched in full.  A unit pivot divides every entry, so it is
+cleared in one pass per side, with the entries as quotients and no
+remainder check.  Once the column below a pivot is clear, the row step
+changes the pivot's row of the matrix alone.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ __all__ = ["SNF", "snf", "snf_columns", "snf_rows"]
 # A matrix with an entry above _GUARD is eliminated on Python ints from the
 # start; below it, a running bound proves every int64 update wrap-free.
 _GUARD = 1 << 30
+# The pivot search scans whole rows, about _CHUNK entries at a time, for a unit.
+_CHUNK = 512
 
 
 class _Overflow(Exception):
@@ -37,6 +49,14 @@ def _asarray(a, big: bool) -> np.ndarray:
     if big:
         return np.array(src.tolist(), dtype=object).reshape(src.shape)
     return src.astype(np.int64)
+
+
+def max_abs(m: np.ndarray) -> int:
+    """The largest absolute entry of ``m`` (0 if empty), as a Python int.
+
+    Read from the maximum and the minimum: ``np.abs`` maps -2^63 to itself.
+    """
+    return max(int(m.max()), -int(m.min())) if m.size else 0
 
 
 def _identity(n: int, big: bool) -> np.ndarray:
@@ -73,10 +93,7 @@ def safe_matmul(a, b) -> np.ndarray:
     if a.dtype != object and b.dtype != object:
         a64 = a.astype(np.int64)
         b64 = b.astype(np.int64)
-        ma = int(np.abs(a64).max()) if a64.size else 0
-        mb = int(np.abs(b64).max()) if b64.size else 0
-        inner = a64.shape[1]
-        if ma * mb * max(inner, 1) < (1 << 62):
+        if max_abs(a64) * max_abs(b64) * max(a64.shape[1], 1) < (1 << 62):
             return a64 @ b64
     return _dot(a, b)
 
@@ -102,22 +119,67 @@ class SNF:
         return [int(self.d[i, i]) for i in range(k)]
 
 
+def _abs_sum(q: np.ndarray, limit: int) -> int:
+    """The sum of ``|q|`` as a Python int, given that no ``|q|`` exceeds ``limit``.
+
+    The int64 sum is wrap-free while ``len(q) * max|q| < 2^63``; past that the
+    entries are summed as Python ints.
+    """
+    if q.size * limit < (1 << 63) or q.size * max_abs(q) < (1 << 63):
+        return int(np.abs(q).sum())
+    return sum(abs(x) for x in q.tolist())
+
+
+def _swap(m: np.ndarray, i: int, j: int):
+    """Swap rows i and j of ``m`` in place."""
+    t = m[i].copy()
+    m[i] = m[j]
+    m[j] = t
+
+
+def _pivot(block: np.ndarray, chunk: int = _CHUNK) -> tuple[int, int] | None:
+    """(i, j) of the first entry of least nonzero size in row-major order, or None.
+
+    When the block holds a unit, that entry is its first ±1, found by scanning
+    whole rows, about ``chunk`` entries at a time, up to the first chunk that
+    holds one.  Only a block without a unit is searched in full.
+    """
+    if not block.size:
+        return None
+    nr, nc = block.shape
+    step = max(1, chunk // nc)
+    for i0 in range(0, nr, step):
+        part = block[i0 : i0 + step]
+        unit = (part == 1) | (part == -1)
+        k = int(unit.argmax())
+        if unit.flat[k]:
+            i, j = divmod(k, nc)
+            return i0 + i, j
+    ii, jj = np.nonzero(block)
+    if not ii.size:
+        return None
+    k = int(np.argmin(np.abs(block[ii, jj])))
+    return int(ii[k]), int(jj[k])
+
+
 def _snf_inplace(a: np.ndarray, big: bool, rows: bool, cols: bool) -> SNF:
     """Eliminate ``a`` to Smith form, keeping the row and/or column transforms."""
     nr, nc = a.shape
-    u, u_inv = (_identity(nr, big), _identity(nr, big)) if rows else (None, None)
-    v, v_inv = (_identity(nc, big), _identity(nc, big)) if cols else (None, None)
+    # u_inv and v are kept transposed, so every update of a transform is a
+    # row operation
+    u, u_inv_t = (_identity(nr, big), _identity(nr, big)) if rows else (None, None)
+    v_t, v_inv = (_identity(nc, big), _identity(nc, big)) if cols else (None, None)
 
     # Overestimate of the largest absolute entry across the updated matrices,
     # maintained so int64 batch updates can be proven wrap-free in advance.
     bound = 1
     if not big and a.size:
-        bound = max(1, int(np.abs(a).max()))
+        bound = max(1, max_abs(a))
         if bound > _GUARD:
             raise _Overflow
 
     def recompute_bound() -> int:
-        return max([1] + [int(np.abs(m).max()) for m in (a, u, u_inv, v, v_inv) if m is not None and m.size])
+        return max([1] + [max_abs(m) for m in (a, u, u_inv_t, v_t, v_inv) if m is not None])
 
     def admit(qsum: int):
         # allow an update multiplying the bound by (1 + qsum)
@@ -130,77 +192,73 @@ def _snf_inplace(a: np.ndarray, big: bool, rows: bool, cols: bool) -> SNF:
                 raise _Overflow
         bound *= 1 + qsum
 
-    def row_swap(i, j):
-        a[[i, j], :] = a[[j, i], :]
-        if rows:
-            u[[i, j], :] = u[[j, i], :]
-            u_inv[:, [i, j]] = u_inv[:, [j, i]]
+    # Rows and columns before r are zero off the diagonal, so the swaps and
+    # the negation touch a from column (or row) r on.
+    def row_swap(k):
+        for m in (a[:, r:], u, u_inv_t) if rows else (a[:, r:],):
+            _swap(m, r, k)
 
-    def col_swap(i, j):
-        a[:, [i, j]] = a[:, [j, i]]
-        if cols:
-            v[:, [i, j]] = v[:, [j, i]]
-            v_inv[[i, j], :] = v_inv[[j, i], :]
+    def col_swap(k):
+        for m in (a[r:].T, v_t, v_inv) if cols else (a[r:].T,):
+            _swap(m, r, k)
 
-    def row_negate(i):
-        a[i, :] = -a[i, :]
+    def row_negate():
+        a[r, r:] = -a[r, r:]
         if rows:
-            u[i, :] = -u[i, :]
-            u_inv[:, i] = -u_inv[:, i]
+            u[r] = -u[r]
+            u_inv_t[r] = -u_inv_t[r]
 
     n = min(nr, nc)
     r = 0
     while r < n:
-        # pivot: the first entry of least nonzero size in row-major order, chosen
-        # from a alone, so d and the kept transforms do not depend on the sides kept
-        block = a[r:, r:]
-        ii, jj = np.divmod(np.flatnonzero(block != 0), block.shape[1])
-        if not ii.size:
+        # pivot: chosen from a alone, so d and the kept transforms do not
+        # depend on the sides kept
+        at = _pivot(a[r:, r:])
+        if at is None:
             break
-        k = int(np.argmin(np.abs(block[ii, jj])))
-        i, j = int(ii[k]), int(jj[k])
+        i, j = at
         if i:
-            row_swap(r, r + int(i))
+            row_swap(r + i)
         if j:
-            col_swap(r, r + int(j))
+            col_swap(r + j)
         if a[r, r] < 0:
-            row_negate(r)
+            row_negate()
         while True:
+            # a unit pivot divides everything: its quotients are the entries
+            # themselves and it leaves no remainder
+            p = a[r, r]
             colv = a[r + 1 :, r]
-            if np.any(colv):
-                q = colv // a[r, r]
-                admit(int(np.abs(q).sum()))
-                hit = r + 1 + np.flatnonzero(q)
-                q = q[q != 0]
+            if colv.any():
+                q = colv if p == 1 else colv // p
+                admit(_abs_sum(q, bound))
+                nz = q.nonzero()[0]
+                hit, q = r + 1 + nz, q[nz]
                 a[hit, r:] -= np.outer(q, a[r, r:])
                 if rows:
-                    u[hit, :] -= np.outer(q, u[r, :])
-                    u_inv[:, r] += np.dot(u_inv[:, hit], q)
-                rem = a[r + 1 :, r]
-                if np.any(rem):
-                    i = int(np.nonzero(rem)[0][0])
-                    row_swap(r, r + 1 + i)
+                    u[hit] -= np.outer(q, u[r])
+                    u_inv_t[r] += np.dot(q, u_inv_t[hit])
+                if p != 1 and a[r + 1 :, r].any():
+                    row_swap(r + 1 + int(a[r + 1 :, r].nonzero()[0][0]))
                     if a[r, r] < 0:
-                        row_negate(r)
+                        row_negate()
                     continue
+            # column r is zero below the pivot now, so the row step changes
+            # row r of a alone
             roww = a[r, r + 1 :]
-            if np.any(roww):
-                q = roww // a[r, r]
-                admit(int(np.abs(q).sum()))
-                hit = r + 1 + np.flatnonzero(q)
-                q = q[q != 0]
-                a[r:, hit] -= np.outer(a[r:, r], q)
+            if roww.any():
+                q = roww if p == 1 else roww // p
+                admit(_abs_sum(q, bound))
+                nz = q.nonzero()[0]
+                hit, q = r + 1 + nz, q[nz]
+                a[r, hit] -= p * q
                 if cols:
-                    v[:, hit] -= np.outer(v[:, r], q)
-                    v_inv[r, :] += np.dot(q, v_inv[hit, :])
-                rem = a[r, r + 1 :]
-                if np.any(rem):
-                    j = int(np.nonzero(rem)[0][0])
-                    col_swap(r, r + 1 + j)
+                    v_t[hit] -= np.outer(q, v_t[r])
+                    v_inv[r] += np.dot(q, v_inv[hit])
+                if p != 1 and a[r, r + 1 :].any():
+                    col_swap(r + 1 + int(a[r, r + 1 :].nonzero()[0][0]))
                     if a[r, r] < 0:
-                        row_negate(r)
+                        row_negate()
                     continue
-                continue  # a col_swap above may have refilled column r
             break
         piv = int(a[r, r])
         if piv != 1:
@@ -208,15 +266,17 @@ def _snf_inplace(a: np.ndarray, big: bool, rows: bool, cols: bool) -> SNF:
             if rest.size:
                 bad = np.nonzero(rest % piv)
                 if bad[0].size:
-                    i = int(bad[0][0])
+                    k = r + 1 + int(bad[0][0])
                     admit(1)
-                    a[r, :] += a[r + 1 + i, :]
+                    a[r] += a[k]
                     if rows:
-                        u[r, :] += u[r + 1 + i, :]
-                        u_inv[:, r + 1 + i] -= u_inv[:, r]
+                        u[r] += u[k]
+                        u_inv_t[k] -= u_inv_t[r]
                     continue  # redo this pivot with the offending row mixed in
         r += 1
 
+    u_inv = None if u_inv_t is None else np.ascontiguousarray(u_inv_t.T)
+    v = None if v_t is None else np.ascontiguousarray(v_t.T)
     return SNF(u=u, d=a, v=v, u_inv=u_inv, v_inv=v_inv, rank=r)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contact9 import intlinalg
-from contact9.cohomology import Cohomology, _divide_rows, cohomology, pullback_cochain
+from contact9.cohomology import Cohomology, _divide_rows, _scale_rows, cohomology, pullback_cochain
 from contact9.complexes import cp2_9, rp2_6, rp3_40, sphere, torus_7
 from contact9.model import from_simplicial
 from contact9.simplicial import Cochain, SimplicialComplex, coboundary
@@ -338,3 +338,8 @@ def test_lattice_coordinates_must_divide_exactly():
         _divide_rows(y, np.asarray([[4], [3]]))
     with pytest.raises(ArithmeticError):
         _divide_rows(y.astype(object), np.asarray([[2], [2]]))
+
+
+def test_scaling_the_int64_minimum_is_exact():
+    scaled = _scale_rows(np.asarray([[-(2**63)], [5]], dtype=np.int64), np.asarray([[2], [3]], dtype=np.int64))
+    assert scaled.dtype == object and scaled.tolist() == [[-(2**64)], [15]]

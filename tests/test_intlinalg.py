@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contact9.intlinalg import _GUARD, snf, snf_columns, snf_rows
+from contact9.intlinalg import _GUARD, _abs_sum, _pivot, safe_matmul, snf, snf_columns, snf_rows
 
 
 def naive_det(rows):
@@ -153,3 +153,73 @@ def test_one_sided_snf_bigint_fallback():
     assert snf_columns(a).d.dtype == snf_rows(a).d.dtype == object
     assert [x for x in res.diagonal if x] == minor_gcd_diagonal(a)
 
+
+def test_int64_minimum_takes_the_exact_path():
+    """-2^63 is its own np.abs, so a bound read through np.abs lets it wrap."""
+    prod = safe_matmul(np.asarray([[-(2**63)]], dtype=np.int64), np.asarray([[2]], dtype=np.int64))
+    assert prod.dtype == object and prod.tolist() == [[-(2**64)]]
+    res = check_snf(np.asarray([[-(2**63), 1]], dtype=np.int64))
+    assert res.d.dtype == object and res.diagonal == [1]
+
+
+def test_abs_sum_is_exact_past_the_int64_range():
+    q = np.full(8, 2**61 - 1, dtype=np.int64)
+    q[0] = -q[0]
+    assert _abs_sum(q, 2**61) == 8 * (2**61 - 1)
+    assert _abs_sum(np.asarray([-(2**63), 5], dtype=np.int64), 2**63) == 2**63 + 5
+    assert _abs_sum(np.asarray([-3, 0, 4]), 4) == 7
+
+
+def least_entry(block):
+    """Reference pivot: the first entry of least nonzero size, in row-major order."""
+    best = None
+    for i, row in enumerate(block.tolist()):
+        for j, x in enumerate(row):
+            if x and (best is None or abs(x) < best[0]):
+                best = (abs(x), i, j)
+    return None if best is None else best[1:]
+
+
+def check_pivot(block, chunk):
+    want = least_entry(block)
+    assert _pivot(block, chunk) == want
+    assert _pivot(block.astype(object), chunk) == want
+    # the engine passes the residual block, a strided view
+    framed = np.zeros((block.shape[0] + 2, block.shape[1] + 3), dtype=np.int64)
+    framed[2:, 3:] = block
+    assert _pivot(framed[2:, 3:], chunk) == want
+
+
+def test_pivot_cases():
+    for shape in ((0, 0), (0, 4), (4, 0), (5, 7)):
+        check_pivot(np.zeros(shape, dtype=np.int64), 8)
+    # no unit: the least-size search runs; ties go to the first in row-major order
+    check_pivot(np.asarray([[0, 6, -2], [3, -2, 0]]), 4)
+    # a unit only in the last row, past many chunks
+    block = np.full((50, 30), 6, dtype=np.int64)
+    block[49, 29] = -1
+    check_pivot(block, 64)
+    # units at either side of a chunk boundary: chunks of 3 rows of 5
+    for i, j in ((2, 4), (3, 0)):
+        block = np.full((9, 5), 2, dtype=np.int64)
+        block[i, j] = 1
+        block[8, 0] = -1
+        check_pivot(block, 15)
+    # blocks wider than the chunk: each chunk is one row
+    block = np.zeros((6, 40), dtype=np.int64)
+    block[4, 39] = 1
+    block[5, 0] = -1
+    check_pivot(block, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from([(0,), (0, 2, -2, 3, -3, 6, -6), (0, 1, -1, 2, -5), (0, 0, 0, 0, 1, -1, 4)]),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_chunked_pivot_matches_least_entry_search(m, n, values, chunk, data):
+    block = np.asarray([[data.draw(st.sampled_from(values)) for _ in range(n)] for _ in range(m)], dtype=np.int64)
+    check_pivot(block.reshape(m, n), chunk)
