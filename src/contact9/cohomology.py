@@ -8,6 +8,13 @@ factorisation.  One row-side SNF per group, of the relations (coboundaries,
 and over Z/2^j also 2^j times every cochain) in those coordinates, gives the
 orders and the generators.  All arithmetic is exact integer arithmetic.
 
+The coboundaries in those coordinates are V^-1 delta_{d-1}.  Since
+delta_d delta_{d-1} = 0, D V^-1 delta_{d-1} = U delta_d delta_{d-1} = 0, so
+its rows above the rank of D are zero.  The rows from the rank on, the
+coordinates in the kernel over Z, are formed once per degree from the
+nonzeros of V^-1 and of delta_{d-1} (``image``) and shared by every
+coefficient ring: over Z/2^j they follow rank rows of zeros.
+
 Every computed group carries explicit representative cocycles, and cocycles
 convert back to generator coordinates, which is what makes the class-level
 operations (cup, Steenrod squares, Bocksteins, coefficient reductions) exact
@@ -23,7 +30,7 @@ from math import gcd
 
 import numpy as np
 
-from .intlinalg import SNF, max_abs, safe_matmul, snf_columns, snf_rows
+from .intlinalg import SNF, max_abs, safe_matmul, snf_columns, snf_rows, sparse_matmul
 from .simplicial import (
     Cochain, SimplicialComplex, bockstein, coboundary, coboundary_matrix, cup, reduce_mod, square,
 )
@@ -112,6 +119,7 @@ class Cohomology:
         self.complex = complex
         self._delta: dict[int, np.ndarray] = {}
         self._delta_snf: dict[int, SNF] = {}
+        self._image: dict[int, np.ndarray] = {}
         self._data: dict[tuple[int, int], _DegreeData] = {}
 
     # -- raw matrices ------------------------------------------------
@@ -126,6 +134,15 @@ class Cohomology:
         if d not in self._delta_snf:
             self._delta_snf[d] = snf_columns(self.delta(d))
         return self._delta_snf[d]
+
+    def image(self, d: int) -> np.ndarray:
+        """``V^-1[rank:] delta_{d-1}`` for the coboundary SNF of degree d: the
+        coboundaries of (d-1)-cochains in kernel coordinates, and every
+        nonzero row of ``V^-1 delta_{d-1}``."""
+        if d not in self._image:
+            res = self.delta_snf(d)
+            self._image[d] = sparse_matmul(res.v_inv[res.rank :], self.delta(d - 1))
+        return self._image[d]
 
     # -- group construction -------------------------------------------
 
@@ -143,20 +160,20 @@ class Cohomology:
             return _DegreeData(GradedGroup(degree, 0, (), ()), empty, empty, empty, [])
 
         res = self.delta_snf(degree)
-        below = self.delta(degree - 1) if degree > 0 else np.zeros((n_d, 0), dtype=np.int64)
+        # the relations in lattice coordinates: the coboundaries, and for
+        # Z/2^j also 2^j times every cochain
+        relations = self.image(degree)
         if modulus == 0:
             # saturated kernel lattice of the coboundary: the last columns of V
             keep = slice(res.rank, None)
             scale = np.ones((n_d - res.rank, 1), dtype=np.int64)
         else:
-            # cochains whose coboundary vanishes mod 2^j: every column of V, scaled
+            # cochains whose coboundary vanishes mod 2^j: every column of V,
+            # scaled; the coboundaries have zero coordinates above the rank
             keep = slice(None)
             diagonal = res.diagonal
             scale = np.asarray([[modulus // gcd(diagonal[i], modulus) if i < res.rank else 1] for i in range(n_d)])
-        # the relations in lattice coordinates: the coboundaries, and for
-        # Z/2^j also 2^j times every cochain
-        relations = _divide_rows(safe_matmul(res.v_inv[keep], below), scale)
-        if modulus:
+            relations = np.concatenate([np.zeros((res.rank, relations.shape[1]), dtype=relations.dtype), relations])
             relations = np.concatenate([relations, _scale_rows(res.v_inv, modulus // scale)], axis=1)
         rel_snf = snf_rows(relations)
 

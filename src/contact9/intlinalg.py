@@ -1,13 +1,18 @@
 """Exact integer matrix algebra: the Smith normal form, two-sided or keeping
-only the row or the column transforms, and a matrix product that never wraps.
+only the row or the column transforms, and matrix products that never wrap,
+dense or formed from the nonzeros alone.
 
-Matrices are numpy arrays.  Computations run on int64 with an explicit
-magnitude guard: entries are kept far enough below the int64 bound that no
-single elimination step can wrap.  If the guard trips, the computation
-restarts on object-dtype arrays holding Python big integers, so results are
-always exact.  Every magnitude bound is read as ``max(m.max(), -m.min())`` in
-Python ints, since ``np.abs`` maps -2^63 to itself, and the sums of quotient
-sizes that grow the bound are exact too.
+Matrices are numpy arrays of integers; a float or other non-integer entry
+raises TypeError rather than being truncated.  Computations run on int64
+with an explicit magnitude guard: entries are kept far enough below the
+int64 bound that no single elimination step can wrap.  If the guard trips,
+the computation restarts on object-dtype arrays holding Python big integers,
+so results are always exact.  Every magnitude bound is read as
+``max(m.max(), -m.min())`` in Python ints, since ``np.abs`` maps -2^63 to
+itself, and the sums of quotient sizes that grow the bounds are exact too.
+The elimination tracks one bound for the matrix and its forward transforms
+and one for the inverses, and falls back only when the true largest entry
+is too large, so how tightly the bounds are tracked changes no result.
 
 The elimination pivots on the first entry of least nonzero size in
 row-major order of the residual block.  When the block holds a ±1, that is
@@ -37,11 +42,37 @@ class _Overflow(Exception):
     pass
 
 
+def _integers(a) -> np.ndarray:
+    """``a`` as an array of integers: integer and object arrays as they are,
+    but uint64, which can exceed int64, as Python ints, and bools and empty
+    arrays as int64.
+
+    Raises TypeError on a float or other non-integer dtype, or an object
+    entry that is not an integer, instead of truncating it.
+    """
+    src = np.asarray(a)
+    kind = src.dtype.kind
+    if kind == "i" or (kind == "u" and src.itemsize < 8):
+        return src
+    if kind == "O":
+        try:
+            # x & 0 is defined for integers alone
+            np.bitwise_and(src, 0)
+        except TypeError:
+            raise TypeError("integer matrix expected, got a non-integer entry") from None
+        return src
+    if kind == "u":
+        return src.astype(object)
+    if kind == "b" or not src.size:
+        return src.astype(np.int64)
+    raise TypeError(f"integer matrix expected, got dtype {src.dtype}")
+
+
 def _asarray(a, big: bool) -> np.ndarray:
     """A fresh 2-d copy of ``a``: int64, or object dtype holding Python ints."""
-    src = np.asarray(a)
-    if src.dtype.kind not in "iu" or src.dtype == np.uint64:
-        src = np.frompyfunc(int, 1, 1)(np.asarray(a, dtype=object))
+    src = _integers(a)
+    if src.dtype == object:
+        src = np.frompyfunc(int, 1, 1)(src)
     if src.ndim == 1:
         src = src.reshape(0, 0) if src.size == 0 else src.reshape(1, -1)
     if src.ndim != 2:
@@ -84,8 +115,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def safe_matmul(a, b) -> np.ndarray:
     """Exact matrix product: int64 BLAS path when provably wrap-free, else big ints."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = _integers(a)
+    b = _integers(b)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if b.ndim == 1:
@@ -96,6 +127,40 @@ def safe_matmul(a, b) -> np.ndarray:
         if max_abs(a64) * max_abs(b64) * max(a64.shape[1], 1) < (1 << 62):
             return a64 @ b64
     return _dot(a, b)
+
+
+def sparse_matmul(a, b) -> np.ndarray:
+    """Exact ``a @ b``, formed from the nonzeros of ``a`` and ``b`` alone.
+
+    Each nonzero a[i, s] meets the nonzeros b[s, c] of row s of ``b``, and
+    the products of the pairs are scatter-added into entry (i, c), so zero
+    entries cost nothing.  An entry of the result sums at most as many
+    products as the fullest column of ``b`` has nonzeros; the int64 sum is
+    used only when that many products of the largest entries stay below
+    2^62, and otherwise the product is ``safe_matmul``'s, on Python ints.
+    """
+    a = _integers(a)
+    b = _integers(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError("matrices of matching shapes expected")
+    if a.dtype == object or b.dtype == object:
+        return safe_matmul(a, b)
+    a = a.astype(np.int64, copy=False)
+    b = b.astype(np.int64, copy=False)
+    ai, aj = np.nonzero(a)
+    br, bc = np.nonzero(b)
+    if max_abs(a) * max_abs(b) * int(np.bincount(bc, minlength=1).max()) >= (1 << 62):
+        return safe_matmul(a, b)
+    # pair each a[i, s] with the nonzeros of row s of b, which are b's
+    # nonzeros first[s] to first[s] + per_row[s] - 1 in row-major order
+    per_row = np.bincount(br, minlength=b.shape[0])
+    first = np.cumsum(per_row) - per_row
+    meets = per_row[aj]
+    pair_a = np.repeat(np.arange(aj.size), meets)
+    pair_b = np.arange(pair_a.size) + np.repeat(first[aj] - (np.cumsum(meets) - meets), meets)
+    out = np.zeros(a.shape[0] * b.shape[1], dtype=np.int64)
+    np.add.at(out, ai[pair_a] * b.shape[1] + bc[pair_b], a[ai, aj][pair_a] * b[br, bc][pair_b])
+    return out.reshape(a.shape[0], b.shape[1])
 
 
 @dataclass
@@ -149,8 +214,7 @@ def _pivot(block: np.ndarray, chunk: int = _CHUNK) -> tuple[int, int] | None:
     nr, nc = block.shape
     step = max(1, chunk // nc)
     for i0 in range(0, nr, step):
-        part = block[i0 : i0 + step]
-        unit = (part == 1) | (part == -1)
+        unit = np.abs(block[i0 : i0 + step]) == 1
         k = int(unit.argmax())
         if unit.flat[k]:
             i, j = divmod(k, nc)
@@ -170,27 +234,43 @@ def _snf_inplace(a: np.ndarray, big: bool, rows: bool, cols: bool) -> SNF:
     u, u_inv_t = (_identity(nr, big), _identity(nr, big)) if rows else (None, None)
     v_t, v_inv = (_identity(nc, big), _identity(nc, big)) if cols else (None, None)
 
-    # Overestimate of the largest absolute entry across the updated matrices,
-    # maintained so int64 batch updates can be proven wrap-free in advance.
-    bound = 1
+    # Overestimates of the largest absolute entry of the matrices updated
+    # forwards (a, u, v_t) and of the inverses (u_inv_t, v_inv), maintained so
+    # int64 batch updates can be proven wrap-free in advance.  A forward
+    # update adds one multiple of the pivot's row or column to each hit one,
+    # so it grows its bound by at most (1 + max|q|); only the inverses sum
+    # the hit rows into one and grow by (1 + sum|q|).  The row step leaves a
+    # no larger: row r of a becomes zeros or remainders below the pivot.
+    fwd = inv = 1
     if not big and a.size:
-        bound = max(1, max_abs(a))
-        if bound > _GUARD:
+        fwd = max(1, max_abs(a))
+        if fwd > _GUARD:
             raise _Overflow
 
-    def recompute_bound() -> int:
-        return max([1] + [max_abs(m) for m in (a, u, u_inv_t, v_t, v_inv) if m is not None])
+    def recompute_bounds() -> tuple[int, int]:
+        return (
+            max([1] + [max_abs(m) for m in (a, u, v_t) if m is not None]),
+            max([1] + [max_abs(m) for m in (u_inv_t, v_inv) if m is not None]),
+        )
 
-    def admit(qsum: int):
-        # allow an update multiplying the bound by (1 + qsum)
-        nonlocal bound
+    def admit(q: np.ndarray, forward: bool, inverse: bool):
+        # allow an update by the nonzero quotients q, of the matrices named.
+        # It is refused only when the true largest entry times (1 + sum|q|)
+        # reaches 2^61, so the int64/bigint decision does not depend on how
+        # tight the bounds are.
+        nonlocal fwd, inv
         if big:
             return
-        if bound * (1 + qsum) >= (1 << 61):
-            bound = recompute_bound()
-            if bound * (1 + qsum) >= (1 << 61):
+        qsum = _abs_sum(q, fwd)
+        if max(fwd, inv) * (1 + qsum) >= (1 << 61):
+            fwd, inv = recompute_bounds()
+            if max(fwd, inv) * (1 + qsum) >= (1 << 61):
                 raise _Overflow
-        bound *= 1 + qsum
+        if forward:
+            # every |q| >= 1, so max|q| <= sum|q| - (len(q) - 1)
+            fwd *= 2 + qsum - q.size
+        if inverse:
+            inv *= 1 + qsum
 
     # Rows and columns before r are zero off the diagonal, so the swaps and
     # the negation touch a from column (or row) r on.
@@ -227,38 +307,56 @@ def _snf_inplace(a: np.ndarray, big: bool, rows: bool, cols: bool) -> SNF:
             # a unit pivot divides everything: its quotients are the entries
             # themselves and it leaves no remainder
             p = a[r, r]
-            colv = a[r + 1 :, r]
-            if colv.any():
-                q = colv if p == 1 else colv // p
-                admit(_abs_sum(q, bound))
-                nz = q.nonzero()[0]
-                hit, q = r + 1 + nz, q[nz]
-                a[hit, r:] -= np.outer(q, a[r, r:])
+            hit = a[r + 1 :, r].nonzero()[0]
+            if hit.size:
+                hit += r + 1
+                q = a[hit, r]
+                if p != 1:
+                    q //= p
+                    moved = q != 0
+                    hit, q = hit[moved], q[moved]
+                admit(q, True, rows)
+                a[hit, r:] -= q[:, None] * a[r, r:]
                 if rows:
-                    u[hit] -= np.outer(q, u[r])
+                    u[hit] -= q[:, None] * u[r]
                     u_inv_t[r] += np.dot(q, u_inv_t[hit])
-                if p != 1 and a[r + 1 :, r].any():
-                    row_swap(r + 1 + int(a[r + 1 :, r].nonzero()[0][0]))
-                    if a[r, r] < 0:
-                        row_negate()
-                    continue
+                if p != 1:
+                    rest = a[r + 1 :, r].nonzero()[0]
+                    if rest.size:
+                        row_swap(r + 1 + int(rest[0]))
+                        if a[r, r] < 0:
+                            row_negate()
+                        continue
             # column r is zero below the pivot now, so the row step changes
-            # row r of a alone
-            roww = a[r, r + 1 :]
-            if roww.any():
-                q = roww if p == 1 else roww // p
-                admit(_abs_sum(q, bound))
-                nz = q.nonzero()[0]
-                hit, q = r + 1 + nz, q[nz]
-                a[r, hit] -= p * q
+            # row r of a alone.  Without column transforms, a unit pivot's
+            # row step only clears the row; its quotients are needed only
+            # when the int64 check could refuse them, and |q| <= fwd.
+            if p == 1 and not cols and (big or max(fwd, inv) * (1 + (nc - r - 1) * fwd) < (1 << 61)):
+                a[r, r + 1 :] = 0
+                break
+            hit = a[r, r + 1 :].nonzero()[0]
+            if hit.size:
+                hit += r + 1
+                q = a[r, hit]
+                if p != 1:
+                    q //= p
+                    moved = q != 0
+                    hit, q = hit[moved], q[moved]
+                admit(q, cols, cols)
+                if p == 1:
+                    a[r, r + 1 :] = 0
+                else:
+                    a[r, hit] -= p * q
                 if cols:
-                    v_t[hit] -= np.outer(q, v_t[r])
+                    v_t[hit] -= q[:, None] * v_t[r]
                     v_inv[r] += np.dot(q, v_inv[hit])
-                if p != 1 and a[r, r + 1 :].any():
-                    col_swap(r + 1 + int(a[r, r + 1 :].nonzero()[0][0]))
-                    if a[r, r] < 0:
-                        row_negate()
-                    continue
+                if p != 1:
+                    rest = a[r, r + 1 :].nonzero()[0]
+                    if rest.size:
+                        col_swap(r + 1 + int(rest[0]))
+                        if a[r, r] < 0:
+                            row_negate()
+                        continue
             break
         piv = int(a[r, r])
         if piv != 1:
@@ -267,7 +365,7 @@ def _snf_inplace(a: np.ndarray, big: bool, rows: bool, cols: bool) -> SNF:
                 bad = np.nonzero(rest % piv)
                 if bad[0].size:
                     k = r + 1 + int(bad[0][0])
-                    admit(1)
+                    admit(np.ones(1, dtype=np.int64), True, rows)
                     a[r] += a[k]
                     if rows:
                         u[r] += u[k]

@@ -1,13 +1,17 @@
 """Cohomology groups and class operations of the reference complexes."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from contact9 import intlinalg
 from contact9.cohomology import Cohomology, _divide_rows, _scale_rows, cohomology, pullback_cochain
 from contact9.complexes import cp2_9, rp2_6, rp3_40, sphere, torus_7
+from contact9.intlinalg import safe_matmul
 from contact9.model import from_simplicial
-from contact9.simplicial import Cochain, SimplicialComplex, coboundary
+from contact9.simplicial import Cochain, SimplicialComplex, coboundary, coboundary_matrix
+from test_simplicial_golden import _small_complexes
 
 
 def f2_rank_naive(mat):
@@ -343,3 +347,37 @@ def test_lattice_coordinates_must_divide_exactly():
 def test_scaling_the_int64_minimum_is_exact():
     scaled = _scale_rows(np.asarray([[-(2**63)], [5]], dtype=np.int64), np.asarray([[2], [3]], dtype=np.int64))
     assert scaled.dtype == object and scaled.tolist() == [[-(2**64)], [15]]
+
+
+@pytest.mark.parametrize("name, x", list(_small_complexes()) + [("RP3", rp3_40())])
+def test_coboundaries_have_zero_coordinates_above_the_rank(name, x):
+    """U delta_d V = D and delta_d delta_{d-1} = 0 give D V^-1 delta_{d-1} = 0, so
+    the rows of V^-1 delta_{d-1} above the rank vanish; the rest is ``image``."""
+    coh = Cohomology(x)
+    for d in range(1, x.dimension + 1):
+        res = coh.delta_snf(d)
+        below = coh.delta(d - 1)
+        assert not safe_matmul(res.v_inv[: res.rank], below).any(), (name, d)
+        assert np.array_equal(coh.image(d), safe_matmul(res.v_inv[res.rank :], below)), (name, d)
+
+
+def test_from_simplicial_forms_one_image_product_per_degree(monkeypatch):
+    """The coboundaries in kernel coordinates, V^-1 delta_{d-1}, are formed once
+    per degree and shared by the groups over Z and Z/2."""
+    x = rp3_40()
+    deltas = [np.asarray(coboundary_matrix(x, d)) for d in range(x.dimension)]
+    formed = []
+    cohomology_mod = importlib.import_module("contact9.cohomology")
+
+    def counted(product):
+        def run(a, b):
+            b = np.asarray(b)
+            formed.extend(d + 1 for d, m in enumerate(deltas) if m.shape == b.shape and np.array_equal(m, b))
+            return product(a, b)
+
+        return run
+
+    monkeypatch.setattr(cohomology_mod, "safe_matmul", counted(intlinalg.safe_matmul))
+    monkeypatch.setattr(cohomology_mod, "sparse_matmul", counted(intlinalg.sparse_matmul))
+    from_simplicial(x)
+    assert sorted(formed) == list(range(1, x.dimension + 1))

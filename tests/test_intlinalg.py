@@ -1,14 +1,18 @@
 """Smith normal form: pinned examples, an independent minor-gcd oracle, and
 randomized structural properties."""
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contact9.intlinalg import _GUARD, _abs_sum, _pivot, safe_matmul, snf, snf_columns, snf_rows
+from contact9.intlinalg import (
+    _GUARD, _abs_sum, _pivot, max_abs, safe_matmul, snf, snf_columns, snf_rows, sparse_matmul,
+)
 
 
 def naive_det(rows):
@@ -223,3 +227,102 @@ def test_pivot_cases():
 def test_chunked_pivot_matches_least_entry_search(m, n, values, chunk, data):
     block = np.asarray([[data.draw(st.sampled_from(values)) for _ in range(n)] for _ in range(m)], dtype=np.int64)
     check_pivot(block.reshape(m, n), chunk)
+
+
+def exact_product(a, b):
+    """Reference product on Python ints, by the definition."""
+    a, b = np.asarray(a), np.asarray(b)
+    inner, cols = b.shape
+    return [[sum(int(row[k]) * int(b[k, c]) for k in range(inner)) for c in range(cols)] for row in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from([1, 2**20, 2**31, 2**40]),
+    st.sampled_from([1, 2**20, 2**31]),
+    st.floats(0.0, 1.0),
+    st.data(),
+)
+def test_sparse_product_matches_safe_matmul(m, n, p, scale_a, scale_b, density, data):
+    """The product over nonzeros is exact, on int64 only when the guard allows it."""
+
+    def draw(rows, cols, scale):
+        entries = [
+            data.draw(st.integers(-3, 3)) * scale if data.draw(st.floats(0, 1)) < density else 0
+            for _ in range(rows * cols)
+        ]
+        return np.asarray(entries, dtype=np.int64).reshape(rows, cols)
+
+    a, b = draw(m, n, scale_a), draw(n, p, scale_b)
+    got = sparse_matmul(a, b)
+    assert got.shape == (m, p)
+    assert got.tolist() == safe_matmul(a, b).tolist() == exact_product(a, b)
+    terms = max([0] + [int(np.count_nonzero(b[:, c])) for c in range(p)])
+    if max_abs(a) * max_abs(b) * terms >= 2**62:
+        assert got.dtype == object
+    else:
+        assert got.dtype == np.int64
+
+
+def test_sparse_product_guard_counts_the_fullest_column():
+    """An entry sums as many products as its column of b has nonzeros."""
+    a = np.asarray([[2**31, 2**31]], dtype=np.int64)
+    one = sparse_matmul(a, np.asarray([[2**30], [0]], dtype=np.int64))
+    assert one.dtype == np.int64 and one.tolist() == [[2**61]]
+    two = sparse_matmul(a, np.asarray([[2**30], [2**30]], dtype=np.int64))
+    assert two.dtype == object and two.tolist() == [[2**62]]
+    # object operands and uint64 take the exact path
+    assert sparse_matmul(np.asarray([[2**70]], dtype=object), [[3]]).tolist() == [[3 * 2**70]]
+    assert sparse_matmul(np.asarray([[2**64 - 1]], dtype=np.uint64), [[2]]).tolist() == [[2**65 - 2]]
+    with pytest.raises(ValueError):
+        sparse_matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+
+
+NON_INTEGER = (
+    [[1.5, 2]],
+    np.asarray([[1.0, 2.0]]),
+    np.asarray([[1.5, 2]], dtype=object),
+    np.asarray([[Fraction(3, 2), 2]], dtype=object),
+    [["1", "2"]],
+)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER)
+def test_non_integer_entries_are_refused(bad):
+    """A float or other non-integer entry raises instead of being truncated."""
+    for factor in (snf, snf_rows, snf_columns):
+        with pytest.raises(TypeError):
+            factor(bad)
+    with pytest.raises(TypeError):
+        safe_matmul(bad, [[1], [1]])
+    with pytest.raises(TypeError):
+        safe_matmul([[1]], bad)
+    with pytest.raises(TypeError):
+        sparse_matmul(bad, [[1], [1]])
+
+
+def test_integer_inputs_of_every_dtype_agree():
+    rows = [[2, 4, 6], [3, 0, 9], [1, 5, 7]]
+    ref = snf(np.asarray(rows, dtype=np.int64))
+    for matrix in [rows, np.asarray(rows, dtype=object)] + [
+        np.asarray(rows, dtype=t)
+        for t in (np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32, np.uint64)
+    ]:
+        res = snf(matrix)
+        assert res.rank == ref.rank
+        for name in ("u", "d", "v", "u_inv", "v_inv"):
+            got, want = getattr(res, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (matrix, name)
+        assert safe_matmul(matrix, matrix).tolist() == exact_product(rows, rows)
+    flags = np.asarray([[True, False], [True, True]])
+    assert np.array_equal(snf(flags).d, snf([[1, 0], [1, 1]]).d)
+    assert snf(np.zeros((0, 3))).rank == 0
+
+
+def test_uint64_past_the_int64_range_is_exact():
+    big = np.asarray([[2**64 - 1]], dtype=np.uint64)
+    assert safe_matmul(big, [[1]]).tolist() == [[2**64 - 1]]
+    assert snf(big).diagonal == [2**64 - 1]
