@@ -18,7 +18,7 @@ from .model import (
 from .library import library, LIBRARY_NAMES, corpus
 from .charclasses import (
     WuClasses, SWClasses, CosetH8, SpincData,
-    wu_classes, sw_classes, integral_lift, compute_dm, coset_reduce,
+    wu_classes, sw_classes, integral_lift, compute_dm,
     half_product_solutions, sigma_w4, spinc_data,
 )
 from .decider import (
@@ -36,7 +36,7 @@ __all__ = [
     "library", "LIBRARY_NAMES", "corpus",
     "WuClasses", "SWClasses", "CosetH8", "SpincData",
     "wu_classes", "sw_classes", "integral_lift", "compute_dm",
-    "coset_reduce", "half_product_solutions",
+    "half_product_solutions",
     "sigma_w4", "spinc_data",
     "Verdict", "Outcome", "ObstructionStage", "O8Branch", "MissingDatum", "GradedIso",
     "Analysis", "analyse", "decide", "decide_connected_sum", "evaluate_omega_pc",

@@ -14,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import f2
-from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass, _reduce_rows
+from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass, _cohomology, _reduce_rows
 
 __all__ = [
     "WuClasses", "SWClasses", "CosetH8", "SpincData",
     "WuSolveError", "ModelInvariantError", "PreconditionError",
-    "solve_wu_degree", "wu_classes", "sw_from_wu", "sw_classes",
-    "nine_manifold_identities", "integral_lift",
+    "solve_wu_degree", "characteristic_classes", "checked_classes", "wu_classes",
+    "sw_from_wu", "sw_classes", "nine_manifold_identities", "integral_lift",
     "random_integral_lift", "compute_dm", "annihilator_subspace",
-    "sq2_image_subspace", "coset_reduce",
+    "sq2_image_subspace",
     "half_product_solutions", "sigma_w4", "spinc_data",
 ]
 
@@ -37,10 +37,6 @@ class ModelInvariantError(ValueError):
 
 class PreconditionError(ValueError):
     """Operation called outside its contract."""
-
-
-def _cohomology(m) -> CohomologyModel:
-    return m.cohomology if isinstance(m, ManifoldModel) else m
 
 
 @dataclass(frozen=True)
@@ -64,22 +60,14 @@ class SWClasses:
     """Stiefel-Whitney classes w_1..w_n plus the integral classes in degrees 3, 7."""
 
     w: dict
-    w3_integral: ZClass
-    w7_integral: ZClass
+    W3: ZClass
+    W7: ZClass
 
     @classmethod
     def from_w(cls, m: CohomologyModel, w: dict) -> "SWClasses":
         """The classes ``w`` with their integral classes W3 = beta w2 and W7 = beta w6."""
         n = m.dimension
         return cls(w, m.beta_map(w[2]) if n >= 2 else m.zero_z(3), m.beta_map(w[6]) if n >= 6 else m.zero_z(7))
-
-    @property
-    def W3(self) -> ZClass:
-        return self.w3_integral
-
-    @property
-    def W7(self) -> ZClass:
-        return self.w7_integral
 
 
 @dataclass(frozen=True)
@@ -139,21 +127,44 @@ def solve_wu_degree(m: CohomologyModel, k: int) -> F2Class:
     return m.f2(k, sol)
 
 
-def wu_classes(model) -> WuClasses:
-    """Wu classes of an orientable model; vanishing outside degrees 2, 4 is
-    verified from the pairings, never assumed."""
+def characteristic_classes(model) -> tuple[WuClasses | None, SWClasses | None, list[Violation]]:
+    """The Wu classes of an orientable model, solved in every degree, its
+    Stiefel-Whitney classes w = Sq(v), and the violations found on the way:
+    an unsolvable Wu system (no classes then), Wu classes outside degrees 2
+    and 4, and in dimension 9 ``nine_manifold_identities``.  ``validate``
+    reports these violations; ``checked_classes`` raises the first."""
     m = _cohomology(model)
     if not m.orientable:
         raise PreconditionError("Wu classes require an orientable model")
-    by_degree = {}
-    for k in range(1, m.dimension + 1):
-        by_degree[k] = solve_wu_degree(m, k)
-    if not by_degree[1].is_zero():
-        raise ModelInvariantError("first Wu class nonzero: model is not orientable")
-    for k, v in by_degree.items():
-        if k not in (2, 4) and not v.is_zero():
-            raise ModelInvariantError(f"Wu class in degree {k} is nonzero")
-    return WuClasses(by_degree=by_degree)
+    try:
+        wu = {k: solve_wu_degree(m, k) for k in range(1, m.dimension + 1)}
+    except WuSolveError as e:
+        return None, None, [Violation("wu_solvable", None, str(e))]
+    broken = [
+        Violation("wu_vanishing", k, f"Wu class in degree {k} is nonzero")
+        for k, v in wu.items() if k not in (2, 4) and not v.is_zero()
+    ]
+    sw = SWClasses.from_w(m, sw_from_wu(m, wu))
+    if m.dimension == 9:
+        broken += nine_manifold_identities(m, sw)
+    return WuClasses(by_degree=wu), sw, broken
+
+
+def checked_classes(model) -> tuple[WuClasses, SWClasses]:
+    """The Wu and Stiefel-Whitney classes of an orientable model; raises the
+    first violation of ``characteristic_classes`` (``WuSolveError`` for an
+    unsolvable Wu system, ``ModelInvariantError`` naming any other check)."""
+    wu, sw, broken = characteristic_classes(model)
+    if broken:
+        first = broken[0]
+        raise (WuSolveError if first.check == "wu_solvable" else ModelInvariantError)(str(first))
+    return wu, sw
+
+
+def wu_classes(model) -> WuClasses:
+    """Wu classes of an orientable model; vanishing outside degrees 2, 4 is
+    verified from the pairings, never assumed."""
+    return checked_classes(model)[0]
 
 
 def sw_from_wu(m: CohomologyModel, wu: dict) -> dict:
@@ -168,17 +179,11 @@ def sw_from_wu(m: CohomologyModel, wu: dict) -> dict:
     return w
 
 
-def sw_classes(model, wu: WuClasses | None = None) -> SWClasses:
-    """Stiefel-Whitney classes via the Wu formula (from the caller's Wu
-    classes, or solved here), plus the integral classes in degrees 3 and 7;
-    9-dimensional models must satisfy ``nine_manifold_identities``."""
-    m = _cohomology(model)
-    sw = SWClasses.from_w(m, sw_from_wu(m, (wu or wu_classes(model)).by_degree))
-    if m.dimension == 9:
-        broken = nine_manifold_identities(m, sw)
-        if broken:
-            raise ModelInvariantError(str(broken[0]))
-    return sw
+def sw_classes(model) -> SWClasses:
+    """Stiefel-Whitney classes via the Wu formula, plus the integral classes
+    in degrees 3 and 7; 9-dimensional models must satisfy
+    ``nine_manifold_identities``."""
+    return checked_classes(model)[1]
 
 
 def nine_manifold_identities(m: CohomologyModel, sw: SWClasses) -> list[Violation]:
@@ -248,13 +253,12 @@ def random_integral_lift(model, x: F2Class, rng) -> ZClass | None:
     return m.z(x.degree, coords)
 
 
-# -- subspaces and cosets -----------------------------------------------------
+# -- subspaces -----------------------------------------------------------------
 
 
 def reduction_image_subspace(m: CohomologyModel, degree: int) -> f2.Subspace:
     """Image of the mod-2 reduction in the given degree."""
-    cols = [m.rho2[degree][:, c] for c in range(m.z_gens(degree))]
-    return f2.Subspace(cols, ambient_dim=m.f2_dim(degree))
+    return f2.Subspace(list(m.rho2[degree].T), ambient_dim=m.f2_dim(degree))
 
 
 def bockstein_kernel_subspace(m: CohomologyModel, degree: int) -> f2.Subspace:
@@ -266,16 +270,7 @@ def bockstein_kernel_subspace(m: CohomologyModel, degree: int) -> f2.Subspace:
 def sq2_image_subspace(m: CohomologyModel, degree: int = 6) -> f2.Subspace:
     """Sq^2 of the integrally liftable part of H^degree, inside H^{degree+2}."""
     kernel = bockstein_kernel_subspace(m, degree)
-    vecs = [m.sq_map(2, m.f2(degree, row)).vec() for row in kernel.basis]
-    return f2.Subspace(vecs, ambient_dim=m.f2_dim(degree + 2))
-
-
-def coset_reduce(x: F2Class, model) -> CosetH8:
-    """The coset of Sq^2(rho2 H^6) represented by a degree-8 class."""
-    m = _cohomology(model)
-    if x.degree != 8:
-        raise PreconditionError("coset arithmetic lives in degree 8")
-    return CosetH8(x, sq2_image_subspace(m, 6))
+    return f2.Subspace(list(f2.mat_mul(kernel.basis, m.sq_matrix(2, degree).T)), ambient_dim=m.f2_dim(degree + 2))
 
 
 # -- the degree-one subspace and its annihilator description ------------------
@@ -288,13 +283,9 @@ def compute_dm(model, sw: SWClasses) -> f2.Subspace:
     w2 = sw.w[2]
     dim1 = m.f2_dim(1)
     mul = (np.einsum("xyz,y->zx", m.cup_tensor(1, 2), w2.vec(), dtype=np.int64) & 1).astype(np.uint8)
-    torsion_image = f2.Subspace(list(m.rho2[3][:, m.piece(3).z_rank:].T), ambient_dim=m.f2_dim(3))
-    if torsion_image.dim:
-        aug = np.concatenate([mul, torsion_image.basis.T], axis=1)
-    else:
-        aug = mul
-    null = f2.nullspace(aug)
-    dm = f2.Subspace([row[:dim1] for row in null], ambient_dim=dim1)
+    # x w2 = rho2(t) for some torsion t: the x-part of the kernel of [mul | rho2 of the torsion generators]
+    aug = np.concatenate([mul, m.rho2[3][:, m.piece(3).z_rank:]], axis=1)
+    dm = f2.Subspace([row[:dim1] for row in f2.nullspace(aug)], ambient_dim=dim1)
 
     ann = annihilator_subspace(m)
     if dm != ann:
@@ -305,19 +296,14 @@ def compute_dm(model, sw: SWClasses) -> f2.Subspace:
 
 
 def annihilator_subspace(m: CohomologyModel) -> f2.Subspace:
-    """Annihilator in H^1 of Sq^2(rho2 H^6) under the intersection pairing."""
-    image = reduction_image_subspace(m, 6)
-    vecs = [m.sq_map(2, m.f2(6, row)).vec() for row in image.basis]
-    sq2img = f2.Subspace(vecs, ambient_dim=m.f2_dim(8))
-    dim1 = m.f2_dim(1)
-    rows = [[m.pair(e, m.f2(8, vec)) for e in m.basis_f2(1)] for vec in sq2img.basis]
-    if not rows:
-        return f2.Subspace(list(np.eye(dim1, dtype=np.uint8)), ambient_dim=dim1)
-    return f2.Subspace(list(f2.nullspace(np.asarray(rows, dtype=np.uint8))), ambient_dim=dim1)
+    """Annihilator in H^1 of Sq^2(rho2 H^6) under the intersection pairing:
+    the kernel of the pairing of H^1 with Sq^2 rho2 of each generator of H^6."""
+    rows = f2.mat_mul(m.pairing_matrix(1), f2.mat_mul(m.sq_matrix(2, 6), m.rho2[6])).T
+    return f2.Subspace(list(f2.nullspace(rows)), ambient_dim=m.f2_dim(1))
 
 
 def bockstein_vanishes_on(m: CohomologyModel, subspace: f2.Subspace) -> bool:
-    return all(m.beta_map(m.f2(1, row)).is_zero() for row in subspace.basis)
+    return not _reduce_rows(m.beta[1].astype(object).dot(subspace.basis.T.astype(object)), m.z_orders(2)).any()
 
 
 # -- half products -------------------------------------------------------------

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .charclasses import ModelInvariantError, PreconditionError, spinc_data, sw_classes, wu_classes
+from .charclasses import ModelInvariantError, PreconditionError, checked_classes, spinc_data
 from .decider import Outcome, ValidationFailedError, analyse, decide, decide_connected_sum
 from .library import LIBRARY_NAMES, library
 from .model import ManifoldModel, validate
@@ -132,8 +132,7 @@ def _classes_dict(model) -> dict:
         rep = validate(model)
         if not rep.ok:
             raise ValidationFailedError(rep)
-        wu = wu_classes(model)
-        sw = sw_classes(model, wu)
+        wu, sw = checked_classes(model)
     else:
         wu, sw = analysis.wu, analysis.sw
     out = {

@@ -88,14 +88,6 @@ class _DegreeData:
     gen_cols: list[int]               # adapted coordinates of the generators, in public order
 
 
-def _np_coboundary(x: SimplicialComplex, d: int) -> np.ndarray:
-    rows = x.n_simplices(d + 1)
-    cols = x.n_simplices(d)
-    if rows == 0 or cols == 0:
-        return np.zeros((rows, cols), dtype=np.int64)
-    return np.asarray(coboundary_matrix(x, d), dtype=np.int64)
-
-
 def _divide_rows(y: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Exact quotient of row i of ``y`` by ``scale[i]``."""
     s = scale.astype(y.dtype)
@@ -126,7 +118,7 @@ class Cohomology:
 
     def delta(self, d: int) -> np.ndarray:
         if d not in self._delta:
-            self._delta[d] = _np_coboundary(self.complex, d)
+            self._delta[d] = coboundary_matrix(self.complex, d)
         return self._delta[d]
 
     def delta_snf(self, d: int) -> SNF:

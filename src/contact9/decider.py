@@ -135,8 +135,6 @@ def analyse(model: ManifoldModel) -> Analysis:
     if not report.ok:
         raise ValidationFailedError(report)
     m = model.cohomology
-    if m.dimension != 9:
-        raise PreconditionError("the decision procedure handles 9-manifolds")
     if not m.orientable:
         raise PreconditionError("the decision procedure needs an orientable model")
     sw = report.sw
@@ -160,7 +158,7 @@ def analyse(model: ManifoldModel) -> Analysis:
                 )
         else:
             branch = O8Branch.SUPPLIED if model.omega_pc is not None else O8Branch.UNDETERMINED
-    return Analysis(model, WuClasses(by_degree=report.wu), sw, dm, sq2_image, w7_vanishes, branch, sigma)
+    return Analysis(model, report.wu, sw, dm, sq2_image, w7_vanishes, branch, sigma)
 
 
 def _analysis(model: ManifoldModel | Analysis) -> Analysis:
@@ -201,8 +199,8 @@ def _w7_vanishes(m: CohomologyModel, sw: SWClasses) -> bool:
     w6 = sw.w[6]
     via_bockstein = sw.W7.is_zero()
     via_lift = integral_lift(m, w6) is not None
-    torsion = m.basis_z(3)[m.piece(3).z_rank:]
-    torsion_ok = not any(m.eval_top(m.cup(m.rho2_map(e), w6)) for e in torsion)
+    torsion = m.rho2[3][:, m.piece(3).z_rank:]  # reductions of the degree-3 torsion generators
+    torsion_ok = not f2.mat_vec(torsion.T, f2.mat_vec(m.pairing_matrix(3), w6.vec())).any()
     if not (via_bockstein == via_lift == torsion_ok):
         raise AssertionError(
             "inconsistent degree-7 checks: "

@@ -25,7 +25,7 @@ from .cohomology import Cohomology
 from .simplicial import SimplicialComplex, bockstein, cup, reduce_mod, square
 
 if TYPE_CHECKING:
-    from .charclasses import SWClasses
+    from .charclasses import SWClasses, WuClasses
 
 __all__ = [
     "F2Class", "ZClass", "GradedPiece", "CohomologyModel", "ManifoldModel",
@@ -366,6 +366,11 @@ class ManifoldModel:
         return f"ManifoldModel({self.label or self.cohomology.label or 'unnamed'})"
 
 
+def _cohomology(model) -> CohomologyModel:
+    """The cohomology model of a manifold model, or the model itself."""
+    return model.cohomology if isinstance(model, ManifoldModel) else model
+
+
 # -- validation ------------------------------------------------------------
 
 
@@ -383,7 +388,7 @@ class Violation:
 @dataclass
 class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
-    wu: dict | None = None  # Wu classes by degree, once the nine-manifold check has solved them
+    wu: WuClasses | None = None  # the Wu classes, once the nine-manifold check has solved them
     sw: SWClasses | None = None  # the Stiefel-Whitney classes, with W3 and W7, that it derived from them
 
     @property
@@ -533,10 +538,7 @@ def _pairing_checks(m: CohomologyModel, rep: ValidationReport):
 
 def validate(model) -> ValidationReport:
     """Check every structural invariant; returns a report (empty iff valid)."""
-    if isinstance(model, ManifoldModel):
-        m = model.cohomology
-    else:
-        m = model
+    m = _cohomology(model)
     rep = ValidationReport()
     _structural_checks(m, rep)
     _operation_checks(m, rep)
@@ -560,19 +562,10 @@ def _nine_manifold_checks(m: CohomologyModel, rep: ValidationReport):
     """Wu-formula consequences for orientable 9-manifolds, and the extra
     Stiefel-Whitney relations that hold once the degree-3 integral class
     vanishes."""
-    from .charclasses import SWClasses, WuSolveError, nine_manifold_identities, solve_wu_degree, sw_from_wu
+    from .charclasses import characteristic_classes
 
-    try:
-        wu = {k: solve_wu_degree(m, k) for k in range(1, m.dimension + 1)}
-    except WuSolveError as e:
-        rep.add("wu_solvable", None, str(e))
-        return
-    rep.wu = wu
-    for k, v in wu.items():
-        if k not in (2, 4) and not v.is_zero():
-            rep.add("wu_vanishing", k, f"Wu class in degree {k} is nonzero")
-    rep.sw = SWClasses.from_w(m, sw_from_wu(m, wu))
-    rep.violations += nine_manifold_identities(m, rep.sw)
+    rep.wu, rep.sw, broken = characteristic_classes(m)
+    rep.violations += broken
 
 
 # -- builders ---------------------------------------------------------------
@@ -763,11 +756,6 @@ def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
             return np.eye(shape[0], dtype=dtype)[:, None]
         return sum((t[(i, j)] for t in tables if (i, j) in t), np.zeros(shape, dtype=dtype))
 
-    def assemblable(m, i, j):
-        """A summand with classes in all three degrees but no integral tensor
-        cannot be assembled honestly."""
-        return (i, j) in m.cup_int or not (m.z_gens(i) and m.z_gens(j) and m.z_gens(i + j))
-
     cup2, cup_int = {}, {}
     f2_dims, z_dims = [p.f2_dim for p in pieces], [p.z_gens for p in pieces]
     for i in range(n + 1):
@@ -776,8 +764,10 @@ def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
             if all(shape):
                 cup2[(i, j)] = unit_or_sum(i, j, shape, (cup2_a, cup2_b), np.uint8)
             shape = (z_dims[i], z_dims[j], z_dims[i + j])
+            # a summand with classes in all three degrees but no integral
+            # tensor cannot be assembled honestly
             if all(shape) and ((i, j) in ma.cup_int or (i, j) in mb.cup_int) and all(
-                assemblable(m, i, j) for m in (ma, mb)
+                m.has_cup_z(i, j) for m in (ma, mb)
             ):
                 cup_int[(i, j)] = unit_or_sum(i, j, shape, (int_a, int_b), object)
 
@@ -880,11 +870,10 @@ def from_simplicial(x: SimplicialComplex, label: str = "") -> CohomologyModel:
         dimension=n, pieces=pieces, rho2=rho2, beta=beta, sq=sq, cup2=cup2,
         cup_int=cup_int, orientable=orientable, label=label or f"simplicial[{x!r}]",
     )
-    for i in range(n + 1):
-        if model.f2_dim(i) != model.f2_dim(n - i):
-            raise NotClosedManifoldError(f"mod-2 Betti numbers not symmetric at degree {i}")
-        if model.f2_dim(i) and f2.rank(model.pairing_matrix(i)) != model.f2_dim(i):
-            raise NotClosedManifoldError(f"mod-2 intersection pairing degenerate at degree {i}")
+    rep = ValidationReport()
+    _pairing_checks(model, rep)
+    if not rep.ok:
+        raise NotClosedManifoldError(str(rep.violations[0]))
     return model
 
 
@@ -964,7 +953,7 @@ def random_model_iso(model, rng, permutation_only: bool = False):
 
     Returns (f2_maps, f2_inv, z_maps, z_inv) keyed by degree.
     """
-    m = model.cohomology if hasattr(model, "cohomology") else model
+    m = _cohomology(model)
     f2_maps, f2_invs, z_maps, z_invs = {}, {}, {}, {}
     for d in range(m.dimension + 1):
         dim = m.f2_dim(d)

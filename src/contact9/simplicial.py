@@ -18,6 +18,8 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "SimplicialComplex", "Cochain", "coboundary", "cup", "cup_i", "square", "bockstein", "reduce_mod",
     "RingMismatchError",
@@ -196,15 +198,18 @@ def coboundary(x: Cochain) -> Cochain:
     return Cochain(cx, x.degree + 1, x.modulus, out)
 
 
-def coboundary_matrix(complex: SimplicialComplex, d: int) -> list[list[int]]:
-    """Matrix of the coboundary C^d -> C^{d+1} in the canonical bases."""
+def coboundary_matrix(complex: SimplicialComplex, d: int) -> np.ndarray:
+    """Matrix of the coboundary C^d -> C^{d+1} in the canonical bases, as
+    int64.  The faces of a simplex are distinct, so face i of every row sets
+    one entry to (-1)^i."""
     rows = complex.simplices(d + 1)
     cols = complex.simplex_index(d)
-    mat = [[0] * len(cols) for _ in rows]
-    for r, tau in enumerate(rows):
-        for i in range(len(tau)):
-            face = tau[:i] + tau[i + 1 :]
-            mat[r][cols[face]] += -1 if i & 1 else 1
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    if not cols:  # no d-simplices (d < 0 or d > dimension): the zero map
+        return mat
+    for i in range(d + 2):
+        faces = np.fromiter((cols[tau[:i] + tau[i + 1 :]] for tau in rows), dtype=np.intp, count=len(rows))
+        mat[np.arange(len(rows)), faces] = -1 if i & 1 else 1
     return mat
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from contact9 import f2
 from contact9.charclasses import (
-    bockstein_vanishes_on, compute_dm, coset_reduce, reduction_image_subspace,
+    CosetH8, bockstein_vanishes_on, compute_dm, reduction_image_subspace,
     bockstein_kernel_subspace, spinc_data, sq2_image_subspace, sw_classes,
 )
 from contact9.cohomology import Cohomology, pullback_cochain
@@ -169,10 +169,11 @@ def test_criterion_4_choice_independence():
             report(4, False, f"{m.label}: not in the relevant regime")
         if not bockstein_vanishes_on(m.cohomology, compute_dm(m, sw)):
             report(4, False, f"{m.label}: hypothesis fails")
+        sub = sq2_image_subspace(m.cohomology)
         reference = None
         for _ in range(20):
             data = spinc_data(m, sw, rng=rng)
-            coset = coset_reduce(sw.w[8] + m.cohomology.rho2_map(data.half_cv), m)
+            coset = CosetH8(sw.w[8] + m.cohomology.rho2_map(data.half_cv), sub)
             if reference is None:
                 reference = coset
             elif coset != reference:

@@ -6,13 +6,14 @@ import pytest
 
 from contact9 import charclasses, f2
 from contact9.charclasses import (
-    CosetH8, ModelInvariantError, PreconditionError, SWClasses, annihilator_subspace,
-    bockstein_vanishes_on, compute_dm, coset_reduce,
+    CosetH8, ModelInvariantError, PreconditionError, SWClasses, WuClasses, WuSolveError,
+    annihilator_subspace, bockstein_kernel_subspace, bockstein_vanishes_on, compute_dm,
     half_product_solutions, integral_lift, nine_manifold_identities, random_integral_lift,
-    sigma_w4, spinc_data, sq2_image_subspace, sw_classes, wu_classes,
+    reduction_image_subspace, sigma_w4, spinc_data, sq2_image_subspace, sw_classes, wu_classes,
 )
 from contact9.complexes import cp2_9, rp3_40, sphere, torus_7
-from contact9.library import library, synthetic_spinc_models
+from contact9.decider import _w7_vanishes, analyse, check_w7_theorem
+from contact9.library import corpus, library, synthetic_spinc_models
 from contact9.model import CohomologyModel, GradedPiece, ManifoldModel, from_simplicial, validate
 
 
@@ -103,6 +104,29 @@ def test_nine_manifold_identities_on_hand_made_classes(changes, expected, monkey
         assert sw_classes(m).w == w
 
 
+def test_wu_violations_are_reported_and_raised_from_one_derivation(monkeypatch):
+    m = library("S1xCP4").cohomology
+    assert isinstance(validate(m).wu, WuClasses)
+    solve = charclasses.solve_wu_degree
+    monkeypatch.setattr(charclasses, "solve_wu_degree", lambda m, k: m.f2(3, [1]) if k == 3 else solve(m, k))
+    first = validate(m).violations[0]
+    assert (first.check, first.degree) == ("wu_vanishing", 3)
+    for derive in (wu_classes, sw_classes):
+        with pytest.raises(ModelInvariantError, match=first.check):
+            derive(m)
+
+    def unsolvable(m, k):
+        raise WuSolveError(f"degree-{k} Wu system unsolvable")
+
+    monkeypatch.setattr(charclasses, "solve_wu_degree", unsolvable)
+    rep = validate(m)
+    assert [(v.check, v.degree) for v in rep.violations] == [("wu_solvable", None)]
+    assert rep.wu is None and rep.sw is None
+    for derive in (wu_classes, sw_classes):
+        with pytest.raises(WuSolveError, match="wu_solvable"):
+            derive(m)
+
+
 def test_nine_manifold_identities_skip_spinc_relations_when_w3_nonzero():
     m = library("Dold_5_2").cohomology
     w = dict(sw_classes(m).w)
@@ -175,7 +199,7 @@ def test_dm_matches_annihilator_on_corpus():
 
 def test_coset_zero():
     m = library("S1xCP4")
-    assert coset_reduce(m.cohomology.zero_f2(8), m).is_zero()
+    assert analyse(m).coset(m.cohomology.zero_f2(8)).is_zero()
 
 
 def test_coset_spin_subspace_trivial():
@@ -184,13 +208,13 @@ def test_coset_spin_subspace_trivial():
         sub = sq2_image_subspace(m.cohomology, 6)
         assert sub.dim == 0
         sw = sw_classes(m)
-        assert coset_reduce(sw.w[8], m).representative == sw.w[8]
+        assert CosetH8(sw.w[8], sub).representative == sw.w[8]
 
 
 def test_coset_s1xcp4_w8_is_zero_coset():
     m = library("S1xCP4")
     sw = sw_classes(m)
-    coset = coset_reduce(sw.w[8], m)
+    coset = analyse(m).coset(sw.w[8])
     assert coset.is_zero()
     assert sq2_image_subspace(m.cohomology, 6).dim == 1
 
@@ -201,6 +225,54 @@ def test_coset_equality():
     a = CosetH8(m.cohomology.f2(8, [1]), sub)
     b = CosetH8(m.cohomology.f2(8, [0]), sub)
     assert a == b  # they differ by the subspace element a^4
+
+
+# -- the subspace helpers against their per-class definitions ---------------------
+
+
+def _reference_sq2_image(m, degree):
+    kernel = bockstein_kernel_subspace(m, degree)
+    vecs = [m.sq_map(2, m.f2(degree, row)).vec() for row in kernel.basis]
+    return f2.Subspace(vecs, ambient_dim=m.f2_dim(degree + 2))
+
+
+def _reference_annihilator(m):
+    image = reduction_image_subspace(m, 6)
+    vecs = [m.sq_map(2, m.f2(6, row)).vec() for row in image.basis]
+    sq2img = f2.Subspace(vecs, ambient_dim=m.f2_dim(8))
+    dim1 = m.f2_dim(1)
+    rows = [[m.pair(e, m.f2(8, vec)) for e in m.basis_f2(1)] for vec in sq2img.basis]
+    if not rows:
+        return f2.Subspace(list(np.eye(dim1, dtype=np.uint8)), ambient_dim=dim1)
+    return f2.Subspace(list(f2.nullspace(np.asarray(rows, dtype=np.uint8))), ambient_dim=dim1)
+
+
+def _reference_bockstein_vanishes_on(m, subspace):
+    return all(m.beta_map(m.f2(1, row)).is_zero() for row in subspace.basis)
+
+
+def _reference_torsion_pairing_vanishes(m, w6):
+    torsion = m.basis_z(3)[m.piece(3).z_rank:]
+    return not any(m.eval_top(m.cup(m.rho2_map(e), w6)) for e in torsion)
+
+
+def test_subspace_helpers_match_their_per_class_definitions():
+    models = corpus() + synthetic_spinc_models()
+    assert len(models) == 11
+    for model in models:
+        m, sw = model.cohomology, sw_classes(model)
+        for degree in range(m.dimension - 1):
+            assert sq2_image_subspace(m, degree) == _reference_sq2_image(m, degree), (model.label, degree)
+        assert annihilator_subspace(m) == _reference_annihilator(m), model.label
+        dim1 = m.f2_dim(1)
+        subspaces = [compute_dm(model, sw), f2.Subspace(list(f2.eye(dim1)), ambient_dim=dim1)]
+        subspaces += [f2.Subspace([e.vec()], ambient_dim=dim1) for e in m.basis_f2(1)]
+        for sub in subspaces:
+            assert bockstein_vanishes_on(m, sub) == _reference_bockstein_vanishes_on(m, sub), model.label
+        torsion_ok = _reference_torsion_pairing_vanishes(m, sw.w[6])
+        assert _w7_vanishes(m, sw) == torsion_ok, model.label
+        if sw.W3.is_zero():
+            assert check_w7_theorem(model) == torsion_ok, model.label
 
 
 # -- half products ----------------------------------------------------------------
@@ -238,7 +310,8 @@ def test_half_product_two_torsion_multiplicity():
     assert len(order_two) == 1  # one per even-order torsion summand of the degree-8 group
     sols = [half, m.cohomology.z(8, half.vec() + order_two[0].vec())]
     assert [d.coords for d in sols] == [(0,), (1,)]
-    cosets = {coset_reduce(sw.w[8] + m.cohomology.rho2_map(d), m) for d in sols}
+    sub = sq2_image_subspace(m.cohomology)
+    cosets = {CosetH8(sw.w[8] + m.cohomology.rho2_map(d), sub) for d in sols}
     assert len(cosets) == 1
 
 
@@ -310,12 +383,13 @@ def test_omega_coset_choice_independence():
             continue
         dm = compute_dm(m, sw)
         assert bockstein_vanishes_on(m.cohomology, dm)
+        sub = sq2_image_subspace(m.cohomology)
         reference = None
         for _ in range(20):
             data = spinc_data(m, sw, rng=rng)
             assert m.cohomology.rho2_map(data.c) == sw.w[2]
             assert m.cohomology.rho2_map(data.v) == sw.w[6]
-            coset = coset_reduce(sw.w[8] + m.cohomology.rho2_map(data.half_cv), m)
+            coset = CosetH8(sw.w[8] + m.cohomology.rho2_map(data.half_cv), sub)
             if reference is None:
                 reference = coset
             assert coset == reference, m.label

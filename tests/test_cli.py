@@ -253,6 +253,24 @@ def test_classes_solves_the_wu_system_once(monkeypatch):
     assert len(calls) == 9
 
 
+def test_classes_of_a_complex_document_solves_each_wu_degree_once(tmp_path, monkeypatch):
+    """A model that the analysis does not take is validated, and its Wu and
+    Stiefel-Whitney classes come from one derivation: the torus has two Wu
+    degrees to solve."""
+    from contact9 import charclasses
+    from contact9.complexes import torus_7
+    from contact9.schema import emit_complex
+
+    path = tmp_path / "t2.json"
+    path.write_text(emit_complex(torus_7()))
+    calls = []
+    solve = charclasses.solve_wu_degree
+    monkeypatch.setattr(charclasses, "solve_wu_degree", lambda m, k: calls.append(k) or solve(m, k))
+    code, _ = run(Command("classes", [str(path)]))
+    assert code == 0
+    assert calls == [1, 2]
+
+
 def _count_calls(monkeypatch, module, name: str) -> list:
     """Record the keyword arguments of every call of ``module.name``, made
     through any contact9 module that binds it."""

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from contact9.complexes import random_complex, rp2_6, sphere, torus_7
+from contact9.complexes import cp2_9, random_complex, rp2_6, rp3_40, sphere, torus_7
 from contact9.simplicial import (
-    Cochain, RingMismatchError, SimplicialComplex, coboundary, cup, cup_i,
+    Cochain, RingMismatchError, SimplicialComplex, coboundary, coboundary_matrix, cup, cup_i,
 )
 
 
@@ -47,6 +47,27 @@ def test_coboundary_squares_to_zero():
             vals = {s: int(rng.integers(-5, 6)) for s in x.simplices(d)}
             c = Cochain(x, d, 0, vals)
             assert coboundary(coboundary(c)).is_zero()
+
+
+def _reference_coboundary_matrix(x, d):
+    """The coboundary matrix built entry by entry from the face formula."""
+    rows, cols = x.simplices(d + 1), x.simplex_index(d)
+    mat = [[0] * len(cols) for _ in rows]
+    for r, tau in enumerate(rows):
+        for i in range(len(tau)):
+            mat[r][cols[tau[:i] + tau[i + 1 :]]] += -1 if i & 1 else 1
+    return np.array(mat, dtype=np.int64).reshape(len(rows), len(cols))
+
+
+def test_coboundary_matrix_matches_the_face_formula():
+    rng = np.random.default_rng(7)
+    for x in (sphere(4), torus_7(), rp2_6(), cp2_9(), rp3_40(), random_complex(rng, 8, 3)):
+        for d in range(x.dimension + 1):
+            mat = coboundary_matrix(x, d)
+            assert mat.dtype == np.int64
+            assert np.array_equal(mat, _reference_coboundary_matrix(x, d)), (x, d)
+        # below degree 0 there are no cochains: the zero map into C^0
+        assert coboundary_matrix(x, -1).shape == (x.n_simplices(0), 0)
 
 
 def test_cochain_support_validated():
