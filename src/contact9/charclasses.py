@@ -41,8 +41,9 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class WuClasses:
-    """Wu classes; only v2 and v4 can be nonzero in the scope of this package.
-    Degrees above the dimension read as zero classes."""
+    """Wu classes of an orientable n-manifold model, which vanish in odd
+    degrees and in every degree k with 2k > n; for n = 9 only v2 and v4 can
+    be nonzero.  Degrees above the dimension read as zero classes."""
 
     by_degree: dict
 
@@ -130,9 +131,10 @@ def solve_wu_degree(m: CohomologyModel, k: int) -> F2Class:
 def characteristic_classes(model) -> tuple[WuClasses | None, SWClasses | None, list[Violation]]:
     """The Wu classes of an orientable model, solved in every degree, its
     Stiefel-Whitney classes w = Sq(v), and the violations found on the way:
-    an unsolvable Wu system (no classes then), Wu classes outside degrees 2
-    and 4, and in dimension 9 ``nine_manifold_identities``.  ``validate``
-    reports these violations; ``checked_classes`` raises the first."""
+    an unsolvable Wu system (no classes then), a nonzero Wu class v_k of odd
+    k or of 2k > n, and in dimension 9 ``nine_manifold_identities``.
+    ``validate`` reports these violations; ``checked_classes`` raises the
+    first."""
     m = _cohomology(model)
     if not m.orientable:
         raise PreconditionError("Wu classes require an orientable model")
@@ -140,9 +142,11 @@ def characteristic_classes(model) -> tuple[WuClasses | None, SWClasses | None, l
         wu = {k: solve_wu_degree(m, k) for k in range(1, m.dimension + 1)}
     except WuSolveError as e:
         return None, None, [Violation("wu_solvable", None, str(e))]
+    # Sq^k vanishes on degrees below k, so v_k = 0 once 2k > n; orientable
+    # means v1 = w1 = 0, so v_{2i+1}, the class of Sq^1 Sq^{2i}, vanishes too
     broken = [
         Violation("wu_vanishing", k, f"Wu class in degree {k} is nonzero")
-        for k, v in wu.items() if k not in (2, 4) and not v.is_zero()
+        for k, v in wu.items() if (k % 2 or 2 * k > m.dimension) and not v.is_zero()
     ]
     sw = SWClasses.from_w(m, sw_from_wu(m, wu))
     if m.dimension == 9:
@@ -162,8 +166,8 @@ def checked_classes(model) -> tuple[WuClasses, SWClasses]:
 
 
 def wu_classes(model) -> WuClasses:
-    """Wu classes of an orientable model; vanishing outside degrees 2, 4 is
-    verified from the pairings, never assumed."""
+    """Wu classes of an orientable model; their vanishing in odd degrees and
+    above half the dimension is verified from the pairings, never assumed."""
     return checked_classes(model)[0]
 
 

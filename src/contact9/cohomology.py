@@ -1,19 +1,22 @@
 """Cohomology groups and class-level operations of a finite simplicial complex.
 
 Each coboundary C^d -> C^{d+1} is factorised once, by a column-side Smith
-normal form U delta V = D.  The cocycle lattice (the kernel over Z; over
-Z/2^j the cochains whose coboundary vanishes mod 2^j) has a basis of scaled
-columns of V, so V^-1 gives lattice coordinates with no further
-factorisation.  One row-side SNF per group, of the relations (coboundaries,
-and over Z/2^j also 2^j times every cochain) in those coordinates, gives the
-orders and the generators.  All arithmetic is exact integer arithmetic.
+normal form U delta V = D.  The kernel over Z has a basis of the columns of
+V from the rank of D on, so V^-1 gives lattice coordinates with no further
+factorisation.  The coboundaries in those coordinates are V^-1 delta_{d-1}.
+Since delta_d delta_{d-1} = 0, D V^-1 delta_{d-1} = U delta_d delta_{d-1} = 0,
+so its rows above the rank of D are zero; the rows from the rank on
+(``image``) are formed once per degree from the nonzeros of V^-1 and of
+delta_{d-1}.  One row-side SNF of ``image`` per degree gives the orders and
+generators over Z: Z/t for each of its relation orders t, Z for each
+remaining kernel coordinate.
 
-The coboundaries in those coordinates are V^-1 delta_{d-1}.  Since
-delta_d delta_{d-1} = 0, D V^-1 delta_{d-1} = U delta_d delta_{d-1} = 0, so
-its rows above the rank of D are zero.  The rows from the rank on, the
-coordinates in the kernel over Z, are formed once per degree from the
-nonzeros of V^-1 and of delta_{d-1} (``image``) and shared by every
-coefficient ring: over Z/2^j they follow rank rows of zeros.
+Every Z/2^j group comes from the same two factorisations, by the universal
+coefficient theorem H^d(X; Z/2^j) = H^d(X; Z) (x) Z/2^j + Tor(H^{d+1}(X; Z),
+Z/2^j): a summand Z/gcd(t, 2^j) for each kernel relation order t (0 counts
+as 2^j; a gcd of 1 drops it), and a summand Z/gcd(d_i, 2^j) for each even
+diagonal entry d_i of D, generated by (2^j / gcd) V[:, i].  All arithmetic
+is exact integer arithmetic.
 
 Every computed group carries explicit representative cocycles, and cocycles
 convert back to generator coordinates, which is what makes the class-level
@@ -79,13 +82,12 @@ class CohomologyClass:
 
 @dataclass
 class _DegreeData:
-    """A group; a cocycle x has lattice coordinates ``coords @ x / scale``."""
+    """A group; a cocycle x has generator coordinates ``adapt @ (coords @ x / scale)``."""
 
     group: GradedGroup
-    coords: np.ndarray                # rows: the kept rows of the coboundary SNF's V^-1
-    scale: np.ndarray                 # column: per lattice coordinate, its divisor
-    adapt: np.ndarray                 # the relation SNF's U: lattice to adapted coordinates
-    gen_cols: list[int]               # adapted coordinates of the generators, in public order
+    coords: np.ndarray                # rows: the kernel rows, then the Tor rows, of the coboundary SNF's V^-1
+    scale: np.ndarray                 # column: per row of coords, its divisor
+    adapt: np.ndarray                 # rows: one per generator, in public order
 
 
 def _divide_rows(y: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -112,6 +114,7 @@ class Cohomology:
         self._delta: dict[int, np.ndarray] = {}
         self._delta_snf: dict[int, SNF] = {}
         self._image: dict[int, np.ndarray] = {}
+        self._image_snf: dict[int, SNF] = {}
         self._data: dict[tuple[int, int], _DegreeData] = {}
 
     # -- raw matrices ------------------------------------------------
@@ -136,6 +139,12 @@ class Cohomology:
             self._image[d] = sparse_matmul(res.v_inv[res.rank :], self.delta(d - 1))
         return self._image[d]
 
+    def image_snf(self, d: int) -> SNF:
+        """Row-side SNF of ``image(d)``, shared by every coefficient ring."""
+        if d not in self._image_snf:
+            self._image_snf[d] = snf_rows(self.image(d))
+        return self._image_snf[d]
+
     # -- group construction -------------------------------------------
 
     def _degree_data(self, modulus: int, degree: int) -> _DegreeData:
@@ -149,44 +158,54 @@ class Cohomology:
         n_d = x.n_simplices(degree)
         if n_d == 0:
             empty = np.zeros((0, 0), dtype=np.int64)
-            return _DegreeData(GradedGroup(degree, 0, (), ()), empty, empty, empty, [])
+            return _DegreeData(GradedGroup(degree, 0, (), ()), empty, empty, empty)
 
         res = self.delta_snf(degree)
-        # the relations in lattice coordinates: the coboundaries, and for
-        # Z/2^j also 2^j times every cochain
-        relations = self.image(degree)
-        if modulus == 0:
-            # saturated kernel lattice of the coboundary: the last columns of V
-            keep = slice(res.rank, None)
-            scale = np.ones((n_d - res.rank, 1), dtype=np.int64)
-        else:
-            # cochains whose coboundary vanishes mod 2^j: every column of V,
-            # scaled; the coboundaries have zero coordinates above the rank
-            keep = slice(None)
+        rel = self.image_snf(degree)
+        n_ker = n_d - res.rank
+        # H^d(X; Z): Z/t for each relation order t of the kernel lattice, 0 free
+        orders = rel.diagonal[: rel.rank] + [0] * (n_ker - rel.rank)
+        tor_rows: list[int] = []
+        if modulus:
+            # H^d(X; Z) (x) Z/2^j + Tor(H^{d+1}(X; Z), Z/2^j): the kernel
+            # orders cut down to divisors of 2^j, and an order gcd(d_i, 2^j)
+            # for each even diagonal entry d_i of the coboundary's SNF
             diagonal = res.diagonal
-            scale = np.asarray([[modulus // gcd(diagonal[i], modulus) if i < res.rank else 1] for i in range(n_d)])
-            relations = np.concatenate([np.zeros((res.rank, relations.shape[1]), dtype=relations.dtype), relations])
-            relations = np.concatenate([relations, _scale_rows(res.v_inv, modulus // scale)], axis=1)
-        rel_snf = snf_rows(relations)
-
-        orders = rel_snf.diagonal[: rel_snf.rank] + [0] * (len(scale) - rel_snf.rank)
-        if modulus and any(t == 0 or modulus % t for t in orders):
-            raise ArithmeticError("mod-2^j group has a generator order not dividing the modulus")
+            tor_rows = [i for i in range(res.rank) if diagonal[i] % 2 == 0]
+            orders = [gcd(t, modulus) for t in orders] + [gcd(diagonal[i], modulus) for i in tor_rows]
+        scale = np.asarray([1] * n_ker + [modulus // t for t in orders[n_ker:]], dtype=np.int64).reshape(-1, 1)
 
         free_cols = [i for i, t in enumerate(orders) if t == 0]
         tors_cols = [i for i, t in enumerate(orders) if t >= 2]
         tors_cols.sort(key=lambda i: orders[i])
         gen_cols = free_cols + tors_cols
 
-        # generators: the columns of lattice @ U^-1 for the relation SNF's U
-        reps = safe_matmul(res.v[:, keep], _scale_rows(rel_snf.u_inv[:, gen_cols], scale))
+        # a kernel generator is a column of V[:, rank:] U^-1 for the relation
+        # SNF's U, and its coordinate row of U; a Tor generator is its scaled
+        # column of V, and its coordinate is the divided row of V^-1 itself
+        ker_gens = [k for k in gen_cols if k < n_ker]
+        tor_gens = [k for k in gen_cols if k >= n_ker]
+        ker_reps = iter(safe_matmul(res.v[:, res.rank :], rel.u_inv[:, ker_gens]).T)
+        tor_reps = iter(_scale_rows(res.v[:, [tor_rows[k - n_ker] for k in tor_gens]].T, scale[tor_gens]))
+        adapt = np.zeros((len(gen_cols), len(orders)), dtype=rel.u.dtype)
+        for p, k in enumerate(gen_cols):
+            if k < n_ker:
+                adapt[p, :n_ker] = rel.u[k]
+            else:
+                adapt[p, k] = 1
         group = GradedGroup(
             degree=degree,
             free_rank=len(free_cols),
             torsion=tuple(orders[c] for c in tors_cols),
-            basis_cocycles=tuple(Cochain.from_vector(x, degree, modulus, col) for col in reps.T),
+            basis_cocycles=tuple(
+                Cochain.from_vector(x, degree, modulus, next(ker_reps) if k < n_ker else next(tor_reps))
+                for k in gen_cols
+            ),
         )
-        return _DegreeData(group, res.v_inv[keep], scale, rel_snf.u, gen_cols)
+        coords = res.v_inv[res.rank :]
+        if tor_rows:
+            coords = np.concatenate([coords, res.v_inv[tor_rows]])
+        return _DegreeData(group, coords, scale, adapt)
 
     def group(self, modulus: int, degree: int) -> GradedGroup:
         return self._degree_data(modulus, degree).group
@@ -229,7 +248,7 @@ class Cohomology:
         if data.group.n_generators == 0:
             return [CohomologyClass(modulus, degree, ())] * len(cochains)
         vecs = np.asarray([c.vector() for c in cochains], dtype=object).T
-        y = safe_matmul(data.adapt, _divide_rows(safe_matmul(data.coords, vecs), data.scale))[data.gen_cols]
+        y = safe_matmul(data.adapt, _divide_rows(safe_matmul(data.coords, vecs), data.scale))
         orders = data.group.orders
         return [
             CohomologyClass(modulus, degree, tuple(int(c) % t if t else int(c) for c, t in zip(col, orders)))

@@ -68,11 +68,16 @@ def _integers(a) -> np.ndarray:
     raise TypeError(f"integer matrix expected, got dtype {src.dtype}")
 
 
+# Python ints of the entries of an object array: a numpy integer scalar held
+# in one would multiply with int64 wrap-around.
+_python_ints = np.frompyfunc(int, 1, 1)
+
+
 def _asarray(a, big: bool) -> np.ndarray:
     """A fresh 2-d copy of ``a``: int64, or object dtype holding Python ints."""
     src = _integers(a)
     if src.dtype == object:
-        src = np.frompyfunc(int, 1, 1)(src)
+        src = _python_ints(src)
     if src.ndim == 1:
         src = src.reshape(0, 0) if src.size == 0 else src.reshape(1, -1)
     if src.ndim != 2:
@@ -107,9 +112,9 @@ def _to_object(a: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix/vector product via object dtype (never wraps)."""
-    ao = a if a.dtype == object else _to_object(a)
-    bo = np.asarray(b, dtype=object)
+    """Exact matrix/vector product on Python ints (never wraps)."""
+    ao = _python_ints(a) if a.dtype == object else _to_object(a)
+    bo = _python_ints(b) if b.dtype == object else np.asarray(b, dtype=object)
     return np.dot(ao, bo)
 
 

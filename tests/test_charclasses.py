@@ -13,8 +13,10 @@ from contact9.charclasses import (
 )
 from contact9.complexes import cp2_9, rp3_40, sphere, torus_7
 from contact9.decider import _w7_vanishes, analyse, check_w7_theorem
-from contact9.library import corpus, library, synthetic_spinc_models
-from contact9.model import CohomologyModel, GradedPiece, ManifoldModel, from_simplicial, validate
+from contact9.library import base_models, corpus, library, synthetic_spinc_models
+from contact9.model import (
+    CohomologyModel, GradedPiece, ManifoldModel, build_product, from_simplicial, validate,
+)
 
 
 # -- Wu classes ---------------------------------------------------------------
@@ -23,6 +25,19 @@ from contact9.model import CohomologyModel, GradedPiece, ManifoldModel, from_sim
 def test_wu_s9_trivial():
     wu = wu_classes(library("S9"))
     assert all(v.is_zero() for v in wu.by_degree.values())
+
+
+def test_wu_vanishing_rule_holds_in_every_dimension():
+    """v_k = 0 once 2k > n, and odd v_k = 0 on an orientable model: in
+    CP2 x CP2 x CP2, v6 = a x b x c is nonzero and no violation."""
+    cp2 = base_models()["CP2"]
+    m = build_product(build_product(cp2, cp2), cp2)
+    wu, sw, broken = charclasses.characteristic_classes(m)
+    assert broken == []
+    assert not wu.by_degree[6].is_zero()
+    assert all(wu.by_degree[k].is_zero() for k in range(7, m.dimension + 1))
+    assert all(wu.by_degree[k].is_zero() for k in range(1, 7, 2))
+    assert wu_classes(m) == wu and sw_classes(m) == sw
 
 
 def test_wu_cp2_triangulated():

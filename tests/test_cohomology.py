@@ -1,14 +1,15 @@
 """Cohomology groups and class operations of the reference complexes."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
 
-from contact9 import intlinalg
+from contact9 import f2, intlinalg
 from contact9.cohomology import Cohomology, _divide_rows, _scale_rows, cohomology, pullback_cochain
 from contact9.complexes import cp2_9, rp2_6, rp3_40, sphere, torus_7
-from contact9.intlinalg import safe_matmul
+from contact9.intlinalg import safe_matmul, snf
 from contact9.model import from_simplicial
 from contact9.simplicial import Cochain, SimplicialComplex, coboundary, coboundary_matrix
 from test_simplicial_golden import _small_complexes
@@ -250,11 +251,11 @@ def test_basis_cocycles_represent_their_generators():
                     assert coords == expect, (x, modulus, d, i)
 
 
-@pytest.mark.parametrize("make, n_groups", [(cp2_9, 10), (rp3_40, 8)])
-def test_each_coboundary_and_relation_lattice_is_factorised_once(monkeypatch, make, n_groups):
+@pytest.mark.parametrize("make, n_eliminations", [(cp2_9, 10), (rp3_40, 8)])
+def test_each_coboundary_and_relation_lattice_is_factorised_once(monkeypatch, make, n_eliminations):
     """A model costs one column-side SNF per coboundary and one row-side SNF
-    per group (Z and Z/2 in every degree), and nothing else: 15 eliminations
-    for cp2_9 and 12 for rp3_40."""
+    per degree, of the coboundaries in kernel coordinates, shared by Z and
+    Z/2, and nothing else: 10 eliminations for cp2_9 and 8 for rp3_40."""
     calls = []
     core = intlinalg._snf_inplace
 
@@ -266,8 +267,8 @@ def test_each_coboundary_and_relation_lattice_is_factorised_once(monkeypatch, ma
     x = make()
     from_simplicial(x)
     assert calls.count((False, True)) == x.dimension + 1
-    assert calls.count((True, False)) == n_groups
-    assert len(calls) == x.dimension + 1 + n_groups
+    assert calls.count((True, False)) == x.dimension + 1
+    assert len(calls) == n_eliminations
 
 
 @pytest.mark.parametrize("make, n_solves", [(cp2_9, 6), (rp3_40, 7)])
@@ -381,3 +382,26 @@ def test_from_simplicial_forms_one_image_product_per_degree(monkeypatch):
     monkeypatch.setattr(cohomology_mod, "sparse_matmul", counted(intlinalg.sparse_matmul))
     from_simplicial(x)
     assert sorted(formed) == list(range(1, x.dimension + 1))
+
+
+@pytest.mark.parametrize("name, x", list(_small_complexes()) + [("RP3", rp3_40())])
+def test_universal_coefficient_groups_against_independent_oracles(name, x):
+    """The groups built by universal coefficients against two oracles that do
+    not use them: dim H^d(X; Z/2) = n_d - rank_F2(delta_d) - rank_F2(delta_{d-1}),
+    and the Z/4 torsion is the Smith diagonal of the whole relation lattice of
+    the mod-4 cocycles, the coboundaries and 4 times every cochain, in the
+    coordinates of the coboundary's SNF."""
+    coh = Cohomology(x)
+    for d in range(x.dimension + 1):
+        n_d = x.n_simplices(d)
+        below = f2.rank(coh.delta(d - 1) % 2) if d else 0
+        assert coh.group(2, d).n_generators == n_d - f2.rank(coh.delta(d) % 2) - below, (name, d)
+
+        res = coh.delta_snf(d)
+        diagonal = res.diagonal
+        scale = [4 // math.gcd(diagonal[i], 4) if i < res.rank else 1 for i in range(n_d)]
+        image = safe_matmul(res.v_inv, coh.delta(d - 1))
+        lattice = np.concatenate([image, safe_matmul(np.diag([4 // s for s in scale]), res.v_inv)], axis=1)
+        orders = snf(lattice).diagonal
+        g = coh.group(4, d)
+        assert g.free_rank == 0 and g.torsion == tuple(sorted(t for t in orders if t != 1)), (name, d)

@@ -326,3 +326,11 @@ def test_uint64_past_the_int64_range_is_exact():
     big = np.asarray([[2**64 - 1]], dtype=np.uint64)
     assert safe_matmul(big, [[1]]).tolist() == [[2**64 - 1]]
     assert snf(big).diagonal == [2**64 - 1]
+
+
+def test_numpy_scalars_in_object_operands_do_not_wrap():
+    """Object entries are multiplied as Python ints, on either side."""
+    big = np.asarray([[np.int64(2**62)]], dtype=object)
+    assert safe_matmul(big, [[4]]).tolist() == [[2**64]]
+    assert safe_matmul([[4]], big).tolist() == [[2**64]]
+    assert sparse_matmul(big, [[4]]).tolist() == [[2**64]]
