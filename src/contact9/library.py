@@ -142,19 +142,28 @@ def monomial_model(gens, sq_gen, label: str) -> CohomologyModel:
 # -- building blocks -----------------------------------------------------------
 
 
+# name -> (generators, total Steenrod square of each generator) of each block
+_BLOCKS = {
+    "point": ([], {}),
+    "S1": ([("s", 1, 2)], {"s": [(1,)]}),
+    "S4": ([("x", 4, 2)], {"x": [(1,), (2,)]}),
+    "S5": ([("y", 5, 2)], {"y": [(1,), (2,)]}),
+    "S9_block": ([("t", 9, 2)], {"t": [(1,), (2,)]}),
+    "CP2": ([("a", 2, 3)], {"a": [(1,), (2,)]}),
+    "CP3": ([("a", 2, 4)], {"a": [(1,), (2,)]}),
+    "CP4": ([("a", 2, 5)], {"a": [(1,), (2,)]}),
+    "HP2": ([("u", 4, 3)], {"u": [(1,), (2,)]}),
+}
+
+
+def _block(name: str) -> CohomologyModel:
+    gens, sq_gen = _BLOCKS[name]
+    return monomial_model(gens, sq_gen, name)
+
+
 def base_models() -> dict[str, CohomologyModel]:
     """Torsion-free building blocks for products and sums."""
-    return {
-        "point": monomial_model([], {}, "point"),
-        "S1": monomial_model([("s", 1, 2)], {"s": [(1,)]}, "S1"),
-        "S4": monomial_model([("x", 4, 2)], {"x": [(1,), (2,)]}, "S4"),
-        "S5": monomial_model([("y", 5, 2)], {"y": [(1,), (2,)]}, "S5"),
-        "S9_block": monomial_model([("t", 9, 2)], {"t": [(1,), (2,)]}, "S9_block"),
-        "CP2": monomial_model([("a", 2, 3)], {"a": [(1,), (2,)]}, "CP2"),
-        "CP3": monomial_model([("a", 2, 4)], {"a": [(1,), (2,)]}, "CP3"),
-        "CP4": monomial_model([("a", 2, 5)], {"a": [(1,), (2,)]}, "CP4"),
-        "HP2": monomial_model([("u", 4, 3)], {"u": [(1,), (2,)]}, "HP2"),
-    }
+    return {name: _block(name) for name in _BLOCKS}
 
 
 def rp5_model() -> CohomologyModel:
@@ -347,15 +356,14 @@ def m1_model() -> ManifoldModel:
 
 
 def _s9() -> ManifoldModel:
-    block = base_models()["S9_block"]
+    block = _block("S9_block")
     # the tangential invariant class lives in the (trivial) degree-5 group,
     # so it is known to vanish rather than missing
     return ManifoldModel(block, phi_hat=block.zero_f2(5), label="S9")
 
 
 def _s1xhp2() -> ManifoldModel:
-    blocks = base_models()
-    m = build_product(blocks["S1"], blocks["HP2"])
+    m = build_product(_block("S1"), _block("HP2"))
     m.label = "S1xHP2"
     # the tangential invariant class: the unique one pairing w4 to the top;
     # forced by the bordism invariance of the top obstruction
@@ -363,8 +371,7 @@ def _s1xhp2() -> ManifoldModel:
 
 
 def _s1xcp4() -> ManifoldModel:
-    blocks = base_models()
-    m = build_product(blocks["S1"], blocks["CP4"])
+    m = build_product(_block("S1"), _block("CP4"))
     m.label = "S1xCP4"
     return ManifoldModel(m, label="S1xCP4")
 
@@ -391,19 +398,20 @@ def corpus() -> list[ManifoldModel]:
 def rp5_x_cp2() -> ManifoldModel:
     """A torsion-rich non-spin model: the product of real projective 5-space
     with the complex projective plane (Kunneth with a torsion-free factor)."""
-    m = _tensor_model(rp5_model(), base_models()["CP2"], label="RP5xCP2")
+    m = _tensor_model(rp5_model(), _block("CP2"), label="RP5xCP2")
     return ManifoldModel(m, label="RP5xCP2")
 
 
 def synthetic_spinc_models() -> list[ManifoldModel]:
     """Non-spin models with vanishing degree-3 integral class, used by the
     choice-independence suites."""
+    rp5xcp2, s1xcp4 = rp5_x_cp2(), _s1xcp4()
     out = [
-        rp5_x_cp2(),
-        connected_sum(_s1xcp4(), _s1xcp4()),
-        connected_sum(_s1xcp4(), _s1xhp2()),
-        connected_sum(_s1xcp4(), m1_model()),
-        connected_sum(rp5_x_cp2(), _s1xcp4()),
+        rp5xcp2,
+        connected_sum(s1xcp4, s1xcp4),
+        connected_sum(s1xcp4, _s1xhp2()),
+        connected_sum(s1xcp4, m1_model()),
+        connected_sum(rp5xcp2, s1xcp4),
     ]
     for k, m in enumerate(out):
         if not m.label:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import f2
 from .cohomology import Cohomology
+from .intlinalg import max_abs
 from .simplicial import SimplicialComplex, bockstein, cup, reduce_mod, square
 
 if TYPE_CHECKING:
@@ -601,92 +602,143 @@ def _push(m: CohomologyModel, F, G, Z, H, units: bool = True):
     return rho2, beta, sq, cup2, cup_int
 
 
+def _offsets(sizes) -> np.ndarray:
+    """Where each degree starts in a basis of all degrees, and its end."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+def _whole(offsets, blocks: dict, dtype) -> np.ndarray:
+    """A graded table as one array over the bases of all degrees: the block
+    ``blocks[(d_1, d_2, ...)]`` sits at degree d_k of axis k, whose degrees
+    start at ``offsets[k]``; every other block is zero."""
+    out = np.zeros(tuple(int(o[-1]) for o in offsets), dtype=dtype)
+    at = [[slice(start, stop) for start, stop in zip(o[:-1], o[1:])] for o in offsets]
+    for degrees, block in blocks.items():
+        out[tuple(map(list.__getitem__, at, degrees))] = block
+    return out
+
+
 def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> CohomologyModel:
     """Graded tensor product of models; requires the second factor torsion-free
     so that the integral cross-product map is a ring isomorphism in every degree.
 
-    Degree d holds one block per pair (i, j) with i + j = d, in order of i.
-    A block's basis is the Kronecker product of the factors' bases, and every
-    operation acts blockwise as the Kronecker product of the factors'
-    operations.  The integral generators of each degree are then stably
-    sorted free-first.
+    Each table family of a factor is laid out as one array over its bases of
+    all degrees, and the product's table is the Kronecker product of the two
+    factors' arrays, indexed by the pairs (u, v) of basis elements in u-major
+    order.  The product basis is those pairs stably sorted by total degree:
+    degree d holds one block per pair of degrees (i, j) with i + j = d, in
+    order of i, each in Kronecker order.  The integral generators of each
+    degree are then stably sorted by order, free first.  Block (d + k, d) of
+    the Kronecker product of the total squares is the Cartan sum for Sq^k,
+    since each source and target block pair has one (s, t); the integral
+    products carry the sign (-1)^(j1 i2).  rho2, beta and Sq are cut from one
+    Kronecker product each, permuted into the product basis.  The product
+    tensors read each of their blocks from the factors' arrays through the
+    same permutation, so the whole cube, which can be far larger than the
+    product's tables, is never formed.
     """
     if any(b.piece(j).z_torsion for j in range(b.dimension + 1)):
         raise ValueError("second tensor factor must be torsion-free")
-    n = a.dimension + b.dimension
-    pairs = [(i, j) for i in range(a.dimension + 1) for j in range(b.dimension + 1)]
+    na, nb = a.dimension, b.dimension
+    n = na + nb
+    fa, fb, za, zb = (
+        _offsets([size(d) for d in range(m.dimension + 1)])
+        for m, size in ((a, a.f2_dim), (b, b.f2_dim), (a, a.z_gens), (b, b.z_gens))
+    )
+    # a pair is as free as its first generator
+    orders_a = np.array([o for i in range(na + 1) for o in a.z_orders(i)], dtype=np.int64)
 
-    def blocks(dim_a, dim_b):
-        """The slice of each (i, j) block in the basis of degree i + j, and
-        the size of each degree."""
-        at, size = {}, [0] * (n + 1)
-        for i, j in pairs:
-            at[(i, j)] = slice(size[i + j], size[i + j] + dim_a(i) * dim_b(j))
-            size[i + j] = at[(i, j)].stop
-        return at, size
+    def basis(at_a, at_b, orders=None):
+        """The product basis as indices into the Kronecker order, where each
+        degree starts in it, and the pairs (u, v) and degrees (i, j) of its
+        elements."""
+        deg_a, deg_b = (np.repeat(np.arange(len(at) - 1), np.diff(at)) for at in (at_a, at_b))
+        total = (deg_a[:, None] + deg_b[None, :]).ravel()
+        perm = np.lexsort((total,) if orders is None else (np.repeat(orders, len(deg_b)), total))
+        u, v = np.divmod(perm, len(deg_b))
+        return perm, _offsets(np.bincount(total, minlength=n + 1)), u, v, deg_a[u], deg_b[v]
 
-    fs, f2_size = blocks(a.f2_dim, b.f2_dim)
-    zs, z_size = blocks(a.z_gens, b.z_gens)
-    orders = [np.zeros(s, dtype=np.int64) for s in z_size]  # a pair is as free as its first generator
-    names: list[list[str]] = [[] for _ in range(n + 1)]
-    for i, j in pairs:
-        orders[i + j][zs[(i, j)]] = np.repeat(a.z_orders(i), b.z_gens(j))
-        names[i + j] += [
-            y if i == 0 else x if j == 0 else f"{x}*{y}"
-            for x in a.piece(i).f2_basis for y in b.piece(j).f2_basis
-        ]
-    perm = [np.argsort(o, kind="stable") for o in orders]
-    pieces = [
-        GradedPiece(int((o == 0).sum()), tuple(np.sort(o[o > 0]).tolist()), tuple(names[d]))
-        for d, o in enumerate(orders)
+    f_perm, f_at, f_u, f_v, f_i, f_j = basis(fa, fb)
+    z_perm, z_at, z_u, z_v, z_i, z_j = basis(za, zb, orders_a)
+    names_a = [x for i in range(na + 1) for x in a.piece(i).f2_basis]
+    names_b = [y for j in range(nb + 1) for y in b.piece(j).f2_basis]
+    names = [
+        names_b[v] if i == 0 else names_a[u] if j == 0 else f"{names_a[u]}*{names_b[v]}"
+        for u, v, i, j in zip(f_u, f_v, f_i, f_j)
     ]
+    pieces = []
+    for d in range(n + 1):
+        o = orders_a[z_u[z_at[d]:z_at[d + 1]]]
+        pieces.append(GradedPiece(int((o == 0).sum()), tuple(o[o > 0].tolist()), tuple(names[f_at[d]:f_at[d + 1]])))
 
+    def kron(ta, tb, rows, cols):
+        """The block (d_row, d_col) of the Kronecker product of two whole
+        matrices in the product basis, as a function of the two degrees."""
+        (perm_r, at_r), (perm_c, at_c) = rows, cols
+        k = np.kron(ta, tb)[np.ix_(perm_r, perm_c)]
+        return lambda dr, dc: k[at_r[dr]:at_r[dr + 1], at_c[dc]:at_c[dc + 1]].copy()
+
+    f_basis, z_basis = (f_perm, f_at), (z_perm, z_at)
+    rho2 = kron(
+        _whole((fa, za), {(d, d): a.rho2[d] for d in range(na + 1)}, np.uint8),
+        _whole((fb, zb), {(j, j): b.rho2[j] for j in range(nb + 1)}, np.uint8), f_basis, z_basis,
+    )
     # beta(u x v) = beta(u) x vZ where vZ is the integral class reducing to v
     # (second factor torsion-free, so its reduction is invertible)
-    rho_b_inv = [f2.inverse(b.rho2[j]) if b.f2_dim(j) else f2.zeros(0, 0) for j in range(b.dimension + 1)]
-    rho2 = [np.zeros((f2_size[d], z_size[d]), dtype=np.uint8) for d in range(n + 1)]
-    beta = [np.zeros((z_size[d + 1] if d < n else 0, f2_size[d]), dtype=np.int64) for d in range(n + 1)]
-    sq: dict[tuple[int, int], np.ndarray] = {}
-    for i, j in pairs:
-        rho2[i + j][fs[(i, j)], zs[(i, j)]] = np.kron(a.rho2[i], b.rho2[j])
-        if i < a.dimension:
-            beta[i + j][zs[(i + 1, j)], fs[(i, j)]] = np.kron(a.beta[i], rho_b_inv[j])
-        # Cartan formula: Sq^k (u x v) = sum over s + t = k of Sq^s u x Sq^t v
-        for s in range(min(i, a.dimension - i) + 1):
-            for t in range(min(j, b.dimension - j) + 1):
-                if s + t:
-                    d, k = i + j, s + t
-                    mtx = sq.setdefault((k, d), np.zeros((f2_size[d + k], f2_size[d]), dtype=np.uint8))
-                    mtx[fs[(i + s, j + t)], fs[(i, j)]] ^= np.kron(a.sq_matrix(s, i), b.sq_matrix(t, j))
+    beta = kron(
+        _whole((za, fa), {(d + 1, d): a.beta[d] for d in range(na)}, np.int64),
+        _whole((zb, fb), {(j, j): f2.inverse(b.rho2[j]) for j in range(nb + 1) if b.f2_dim(j)}, np.int64),
+        z_basis, f_basis,
+    )
+    sq = kron(*(
+        _whole((at, at), {
+            (d + k, d): m.sq_matrix(k, d) for d in range(m.dimension + 1) for k in range(min(d, m.dimension - d) + 1)
+        }, np.uint8)
+        for m, at in ((a, fa), (b, fb))
+    ), f_basis, f_basis)
 
-    def zero_tensors(size, dtype):
-        return {
-            (d1, d2): np.zeros((size[d1], size[d2], size[d1 + d2]), dtype=dtype)
-            for d1 in range(n + 1) for d2 in range(n + 1 - d1) if size[d1] and size[d2] and size[d1 + d2]
-        }
+    def cube_blocks(ta, tb, at, u, v):
+        """The product tensor's blocks (i, j, i + j) read from the Kronecker
+        product of the factors' whole tensors ta and tb, by the pairs (u, v)
+        of each degree."""
+        pairs = [(u[at[d]:at[d + 1]], v[at[d]:at[d + 1]]) for d in range(n + 1)]
+        out = {}
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                (u1, v1), (u2, v2), (u3, v3) = pairs[i], pairs[j], pairs[i + j]
+                if len(u1) and len(u2) and len(u3):
+                    out[(i, j)] = ta[u1[:, None, None], u2[:, None], u3] * tb[v1[:, None, None], v2[:, None], v3]
+        return out
 
-    cup2, cup_int = zero_tensors(f2_size, np.uint8), zero_tensors(z_size, object)
-    for i1, j1 in pairs:
-        for i2, j2 in pairs:
-            if i1 + i2 > a.dimension or j1 + j2 > b.dimension:
-                continue
-            key = (i1 + j1, i2 + j2)
-            if key in cup2:
-                at = fs[(i1, j1)], fs[(i2, j2)], fs[(i1 + i2, j1 + j2)]
-                cup2[key][at] = np.kron(a.cup_tensor(i1, i2), b.cup_tensor(j1, j2))
-            if key in cup_int and (i1, i2) in a.cup_int and (j1, j2) in b.cup_int:
-                at = zs[(i1, j1)], zs[(i2, j2)], zs[(i1 + i2, j1 + j2)]
-                sign = -1 if j1 % 2 and i2 % 2 else 1
-                cup_int[key][at] = sign * np.kron(a.cup_int[(i1, i2)], b.cup_int[(j1, j2)])
+    cup2 = cube_blocks(*(
+        _whole((at,) * 3, {
+            (i, j, i + j): m.cup_tensor(i, j) for i in range(m.dimension + 1) for j in range(m.dimension + 1 - i)
+        }, np.uint8)
+        for m, at in ((a, fa), (b, fb))
+    ), f_at, f_u, f_v)
+    # the integral products in int64 when no entry can wrap, exactly otherwise
+    int_a, int_b = (
+        _whole((at,) * 3, {(i, j, i + j): t for (i, j), t in m.cup_int.items() if i + j <= m.dimension}, object)
+        for m, at in ((a, za), (b, zb))
+    )
+    big_a, big_b = max_abs(int_a), max_abs(int_b)
+    if max(big_a, big_b, big_a * big_b) < 1 << 63:
+        int_a, int_b = int_a.astype(np.int64), int_b.astype(np.int64)
+    # the sign (-1)^(j1 i2): the left element's degree in b times the right one's in a
+    odd_left, odd_right = z_j % 2, z_i % 2
+    cup_int = {
+        (i, j): t * (1 - 2 * (odd_left[z_at[i]:z_at[i + 1], None] & odd_right[z_at[j]:z_at[j + 1]]))[:, :, None]
+        for (i, j), t in cube_blocks(int_a, int_b, z_at, z_u, z_v).items()
+    }
 
     return CohomologyModel(
         dimension=n,
         pieces=pieces,
-        rho2=[r[:, p] for r, p in zip(rho2, perm)],
-        beta=[x[perm[d + 1]] if d < n else x for d, x in enumerate(beta)],
-        sq=sq,
+        rho2=[rho2(d, d) for d in range(n + 1)],
+        beta=[beta(d + 1, d) for d in range(n)] + [np.zeros((0, f_at[n + 1] - f_at[n]), dtype=np.int64)],
+        sq={(k, d): sq(d + k, d) for d in range(n + 1) for k in range(1, min(d, n - d) + 1)},
         cup2=cup2,
-        cup_int={(i, j): t[np.ix_(perm[i], perm[j], perm[i + j])] for (i, j), t in cup_int.items()},
+        cup_int=cup_int,
         orientable=a.orientable and b.orientable,
         label=label or f"{a.label}x{b.label}",
     )
@@ -700,20 +752,25 @@ def build_product(a: CohomologyModel, b: CohomologyModel) -> CohomologyModel:
     return _tensor_model(a, b)
 
 
-def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
-    """Connected sum of oriented 9-manifold models: middle degrees direct-sum,
-    one fused unit and one fused orientation, cross products vanishing.
+def connected_sum(a, b):
+    """Connected sum of two oriented n-manifold models, n >= 2: middle degrees
+    direct-sum, one fused unit and one fused orientation, cross products
+    vanishing.  Two ``ManifoldModel``s give a ``ManifoldModel`` and two
+    ``CohomologyModel``s of one dimension a ``CohomologyModel``.
 
     Each summand's tables are pushed along its inclusion into the sum and the
     two images added.  In the middle degrees the sum's basis is a's then b's,
     with the integral generators stably sorted free-first.
     """
-    ma, mb = a.cohomology, b.cohomology
-    if ma.dimension != 9 or mb.dimension != 9:
-        raise ValueError("connected sum needs two 9-dimensional models")
+    manifold = isinstance(a, ManifoldModel)
+    if manifold != isinstance(b, ManifoldModel):
+        raise TypeError("connected sum needs two manifold models or two cohomology models")
+    ma, mb = _cohomology(a), _cohomology(b)
+    if ma.dimension != mb.dimension or ma.dimension < 2:
+        raise ValueError("connected sum needs two models of one dimension n >= 2")
     if not (ma.orientable and mb.orientable):
         raise ValueError("connected sum needs orientable models")
-    n = 9
+    n = ma.dimension
 
     pieces = []
     fa, fb, za, zb = [], [], [], []  # inclusions of a and of b, mod 2 and integral
@@ -773,9 +830,11 @@ def connected_sum(a: ManifoldModel, b: ManifoldModel) -> ManifoldModel:
 
     label = f"{a.label or ma.label}#{b.label or mb.label}"
     summed = CohomologyModel(
-        dimension=9, pieces=pieces, rho2=rho2, beta=beta, sq=sq, cup2=cup2,
+        dimension=n, pieces=pieces, rho2=rho2, beta=beta, sq=sq, cup2=cup2,
         cup_int=cup_int, orientable=True, label=label,
     )
+    if not manifold:
+        return summed
 
     def joined(x, y, d):
         if x is None or y is None:

@@ -1,5 +1,7 @@
 """The named models: validity and their pinned characteristic-class facts."""
 
+import importlib
+
 import pytest
 
 from contact9.charclasses import sw_classes, wu_classes
@@ -97,3 +99,42 @@ def test_library_returns_fresh_objects():
     a = library("S9")
     b = library("S9")
     assert a is not b and a.cohomology is not b.cohomology
+
+
+def _block_builds(monkeypatch, build) -> dict:
+    """How often ``build()`` makes each base block through ``monomial_model``."""
+    from collections import Counter
+
+    lib = importlib.import_module("contact9.library")  # the package exports a function of this name
+    counts = Counter()
+    real = lib.monomial_model
+
+    def counting(gens, sq_gen, label):
+        counts[label] += 1
+        return real(gens, sq_gen, label)
+
+    monkeypatch.setattr(lib, "monomial_model", counting)
+    build()
+    return dict(counts)
+
+
+@pytest.mark.parametrize("name, blocks", [
+    ("S9", {"S9_block": 1}),
+    ("S1xHP2", {"S1": 1, "HP2": 1}),
+    ("S1xCP4", {"S1": 1, "CP4": 1}),
+    ("Dold_5_2", {}),
+    ("M1_surgered", {}),
+    ("M3_sum", {"S1": 2, "HP2": 1, "CP4": 1}),       # S1 once per product summand
+])
+def test_library_builds_only_the_blocks_it_uses(monkeypatch, name, blocks):
+    assert _block_builds(monkeypatch, lambda: library(name)) == blocks
+
+
+def test_synthetic_models_build_each_block_once_per_product(monkeypatch):
+    # the products RP5xCP2, S1xCP4 and S1xHP2, each built once
+    assert _block_builds(monkeypatch, synthetic_spinc_models) == {"CP2": 1, "S1": 2, "CP4": 1, "HP2": 1}
+
+
+def test_base_models_builds_each_block_once(monkeypatch):
+    names = list(base_models())
+    assert _block_builds(monkeypatch, base_models) == dict.fromkeys(names, 1)

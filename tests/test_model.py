@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from contact9.charclasses import sw_classes
+from contact9.charclasses import sw_classes, wu_classes
 from contact9.complexes import cp2_9, rp2_6, sphere
 from contact9.decider import GradedIso, homotopy_invariance_check
 from contact9.library import base_models, library
@@ -124,6 +124,50 @@ def test_build_product_rejects_torsion():
         build_product(rp5_model(), base_models()["CP2"])
     with pytest.raises(ValueError, match="torsion"):
         build_product(base_models()["CP2"], rp5_model())
+
+
+@pytest.mark.parametrize("scale", [3, 2**40])
+def test_build_product_integral_products_scale_exactly(scale):
+    """Scaling both factors' integral products by c scales the product's by
+    c^2: in int64 while every entry is below 2^63, in Python ints past it."""
+    s1 = base_models()["S1"]
+    scaled = CohomologyModel(
+        s1.dimension, s1.pieces, s1.rho2, s1.beta, s1.sq, s1.cup2, {k: t * scale for k, t in s1.cup_int.items()},
+    )
+    plain, big = build_product(s1, s1), build_product(scaled, scaled)
+    assert set(big.cup_int) == set(plain.cup_int)
+    for key, t in plain.cup_int.items():
+        assert (big.cup_int[key] == t * scale**2).all(), key
+    assert (plain.cup_int[(1, 1)] < 0).any()  # the sign (-1)^(j1 i2) of s x 1 . 1 x s
+
+
+def _s2():
+    from contact9.library import monomial_model
+
+    return monomial_model([("x", 2, 2)], {"x": [(1,), (2,)]}, "S2")
+
+
+def test_connected_sum_of_cohomology_models_in_dimension_four():
+    cp2 = base_models()["CP2"]
+    s = connected_sum(cp2, cp2)
+    assert isinstance(s, CohomologyModel) and s.label == "CP2#CP2"
+    assert [s.f2_dim(d) for d in range(5)] == [1, 0, 2, 0, 1]
+    assert validate(s).ok
+    assert wu_classes(s).v2.bits == (1, 1)  # odd intersection form: not spin
+    s2xs2 = build_product(_s2(), _s2())
+    assert [s2xs2.f2_dim(d) for d in range(5)] == [1, 0, 2, 0, 1]
+    assert validate(s2xs2).ok
+    assert wu_classes(s2xs2).v2.is_zero()  # even intersection form: spin
+
+
+def test_connected_sum_rejects_mismatched_summands():
+    blocks = base_models()
+    with pytest.raises(TypeError, match="two manifold models or two cohomology models"):
+        connected_sum(library("S9"), blocks["S9_block"])
+    with pytest.raises(ValueError, match="one dimension"):
+        connected_sum(blocks["CP2"], blocks["HP2"])
+    with pytest.raises(ValueError, match="n >= 2"):
+        connected_sum(blocks["S1"], blocks["S1"])
 
 
 def test_connected_sum_with_sphere_is_identity():

@@ -130,3 +130,24 @@ def test_parse_rejects_non_binary_mod2_entries(field, value, where, tmp_path, ca
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == EXIT_CODES["parse_error"]
+
+
+@pytest.mark.parametrize("value", ["x", None, 3, [], [1], [1, 2, 3], [-1, 2], [True, 1], [1.5, 1], [10, 0], [2**70, 0]])
+@pytest.mark.parametrize("field, where", [
+    ("cup2", r"cup2\[4\]\.degrees"),
+    ("cupZ", r"cupZ\[4\]\.degrees"),
+    ("cupZ_pairs", r"cupZ_pairs\[4\]"),
+])
+def test_parse_rejects_malformed_degree_pairs(field, where, value, tmp_path):
+    """A degree pair is a list of two integers in 0..dimension; anything else
+    is a schema error naming the field (exit 6), not an escaped exception."""
+    doc = json.loads(emit_model(library("S1xCP4")))
+    if field == "cupZ_pairs":
+        doc[field][4] = value
+    else:
+        doc[field][4]["degrees"] = value
+    with pytest.raises(SchemaError, match=where):
+        parse_model(json.dumps(doc))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_CODES["parse_error"]
