@@ -22,7 +22,6 @@ import numpy as np
 
 from . import f2
 from .cohomology import Cohomology
-from .intlinalg import max_abs
 from .simplicial import SimplicialComplex, bockstein, cup, reduce_mod, square
 
 if TYPE_CHECKING:
@@ -612,9 +611,8 @@ def _whole(offsets, blocks: dict, dtype) -> np.ndarray:
     ``blocks[(d_1, d_2, ...)]`` sits at degree d_k of axis k, whose degrees
     start at ``offsets[k]``; every other block is zero."""
     out = np.zeros(tuple(int(o[-1]) for o in offsets), dtype=dtype)
-    at = [[slice(start, stop) for start, stop in zip(o[:-1], o[1:])] for o in offsets]
     for degrees, block in blocks.items():
-        out[tuple(map(list.__getitem__, at, degrees))] = block
+        out[tuple(slice(o[d], o[d + 1]) for o, d in zip(offsets, degrees))] = block
     return out
 
 
@@ -624,121 +622,98 @@ def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> Co
 
     Each table family of a factor is laid out as one array over its bases of
     all degrees, and the product's table is the Kronecker product of the two
-    factors' arrays, indexed by the pairs (u, v) of basis elements in u-major
-    order.  The product basis is those pairs stably sorted by total degree:
+    factors' arrays: its entry at the pairs (u1, v1), (u2, v2), ... of basis
+    elements is ta[u1, u2, ...] * tb[v1, v2, ...].  The product basis is the
+    pairs (u, v) in Kronecker (u-major) order stably sorted by total degree:
     degree d holds one block per pair of degrees (i, j) with i + j = d, in
     order of i, each in Kronecker order.  The integral generators of each
-    degree are then stably sorted by order, free first.  Block (d + k, d) of
-    the Kronecker product of the total squares is the Cartan sum for Sq^k,
-    since each source and target block pair has one (s, t); the integral
-    products carry the sign (-1)^(j1 i2).  rho2, beta and Sq are cut from one
-    Kronecker product each, permuted into the product basis.  The product
-    tensors read each of their blocks from the factors' arrays through the
-    same permutation, so the whole cube, which can be far larger than the
-    product's tables, is never formed.
+    degree are then stably sorted by order, free first.  Each block of the
+    product's tables is read from the factors' arrays at the pairs of its
+    degrees, so no Kronecker product larger than the block is formed.  Block
+    (d + k, d) of the total squares is the Cartan sum for Sq^k, since each
+    source and target pair of degree pairs has one (s, t); the integral
+    products carry the sign (-1)^(j1 i2).
     """
     if any(b.piece(j).z_torsion for j in range(b.dimension + 1)):
         raise ValueError("second tensor factor must be torsion-free")
-    na, nb = a.dimension, b.dimension
-    n = na + nb
+    n = a.dimension + b.dimension
     fa, fb, za, zb = (
         _offsets([size(d) for d in range(m.dimension + 1)])
         for m, size in ((a, a.f2_dim), (b, b.f2_dim), (a, a.z_gens), (b, b.z_gens))
     )
     # a pair is as free as its first generator
-    orders_a = np.array([o for i in range(na + 1) for o in a.z_orders(i)], dtype=np.int64)
+    orders_a = np.array([o for i in range(a.dimension + 1) for o in a.z_orders(i)], dtype=np.int64)
 
     def basis(at_a, at_b, orders=None):
-        """The product basis as indices into the Kronecker order, where each
-        degree starts in it, and the pairs (u, v) and degrees (i, j) of its
-        elements."""
+        """The product basis of each degree as the index arrays (u, v) of its
+        pairs in the factors' bases."""
         deg_a, deg_b = (np.repeat(np.arange(len(at) - 1), np.diff(at)) for at in (at_a, at_b))
-        total = (deg_a[:, None] + deg_b[None, :]).ravel()
+        total = np.add.outer(deg_a, deg_b).ravel()
         perm = np.lexsort((total,) if orders is None else (np.repeat(orders, len(deg_b)), total))
-        u, v = np.divmod(perm, len(deg_b))
-        return perm, _offsets(np.bincount(total, minlength=n + 1)), u, v, deg_a[u], deg_b[v]
+        cuts = np.cumsum(np.bincount(total, minlength=n + 1))[:-1]
+        return [np.divmod(p, len(deg_b)) for p in np.split(perm, cuts)]
 
-    f_perm, f_at, f_u, f_v, f_i, f_j = basis(fa, fb)
-    z_perm, z_at, z_u, z_v, z_i, z_j = basis(za, zb, orders_a)
-    names_a = [x for i in range(na + 1) for x in a.piece(i).f2_basis]
-    names_b = [y for j in range(nb + 1) for y in b.piece(j).f2_basis]
-    names = [
-        names_b[v] if i == 0 else names_a[u] if j == 0 else f"{names_a[u]}*{names_b[v]}"
-        for u, v, i, j in zip(f_u, f_v, f_i, f_j)
-    ]
+    def block(ta, tb, rows, cols, depth=None):
+        """The block of the Kronecker product of ta and tb whose axes run over
+        the given bases: a matrix, or a tensor if ``depth`` is given."""
+        (u1, v1), (u2, v2) = rows, cols
+        if depth is None:
+            return ta[u1[:, None], u2] * tb[v1[:, None], v2]
+        u3, v3 = depth
+        return ta[u1[:, None, None], u2[:, None], u3] * tb[v1[:, None, None], v2[:, None], v3]
+
+    F, Z = basis(fa, fb), basis(za, zb, orders_a)
+    names_a = [x for i in range(a.dimension + 1) for x in a.piece(i).f2_basis]
+    names_b = [y for j in range(b.dimension + 1) for y in b.piece(j).f2_basis]
     pieces = []
-    for d in range(n + 1):
-        o = orders_a[z_u[z_at[d]:z_at[d + 1]]]
-        pieces.append(GradedPiece(int((o == 0).sum()), tuple(o[o > 0].tolist()), tuple(names[f_at[d]:f_at[d + 1]])))
+    for (fu, fv), (zu, _) in zip(F, Z):
+        o = orders_a[zu]
+        names = (
+            names_b[v] if u < fa[1] else names_a[u] if v < fb[1] else f"{names_a[u]}*{names_b[v]}"
+            for u, v in zip(fu, fv)
+        )
+        pieces.append(GradedPiece(int((o == 0).sum()), tuple(o[o > 0].tolist()), tuple(names)))
 
-    def kron(ta, tb, rows, cols):
-        """The block (d_row, d_col) of the Kronecker product of two whole
-        matrices in the product basis, as a function of the two degrees."""
-        (perm_r, at_r), (perm_c, at_c) = rows, cols
-        k = np.kron(ta, tb)[np.ix_(perm_r, perm_c)]
-        return lambda dr, dc: k[at_r[dr]:at_r[dr + 1], at_c[dc]:at_c[dc + 1]].copy()
-
-    f_basis, z_basis = (f_perm, f_at), (z_perm, z_at)
-    rho2 = kron(
-        _whole((fa, za), {(d, d): a.rho2[d] for d in range(na + 1)}, np.uint8),
-        _whole((fb, zb), {(j, j): b.rho2[j] for j in range(nb + 1)}, np.uint8), f_basis, z_basis,
-    )
+    rho2_a = _whole((fa, za), {(d, d): a.rho2[d] for d in range(a.dimension + 1)}, np.uint8)
+    rho2_b = _whole((fb, zb), {(j, j): b.rho2[j] for j in range(b.dimension + 1)}, np.uint8)
     # beta(u x v) = beta(u) x vZ where vZ is the integral class reducing to v
     # (second factor torsion-free, so its reduction is invertible)
-    beta = kron(
-        _whole((za, fa), {(d + 1, d): a.beta[d] for d in range(na)}, np.int64),
-        _whole((zb, fb), {(j, j): f2.inverse(b.rho2[j]) for j in range(nb + 1) if b.f2_dim(j)}, np.int64),
-        z_basis, f_basis,
-    )
-    sq = kron(*(
+    beta_a = _whole((za, fa), {(d + 1, d): a.beta[d] for d in range(a.dimension)}, np.int64)
+    beta_b = _whole((zb, fb), {(j, j): f2.inverse(b.rho2[j]) for j in range(b.dimension + 1) if b.f2_dim(j)}, np.int64)
+    sq_a, sq_b = (
         _whole((at, at), {
             (d + k, d): m.sq_matrix(k, d) for d in range(m.dimension + 1) for k in range(min(d, m.dimension - d) + 1)
         }, np.uint8)
         for m, at in ((a, fa), (b, fb))
-    ), f_basis, f_basis)
-
-    def cube_blocks(ta, tb, at, u, v):
-        """The product tensor's blocks (i, j, i + j) read from the Kronecker
-        product of the factors' whole tensors ta and tb, by the pairs (u, v)
-        of each degree."""
-        pairs = [(u[at[d]:at[d + 1]], v[at[d]:at[d + 1]]) for d in range(n + 1)]
-        out = {}
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                (u1, v1), (u2, v2), (u3, v3) = pairs[i], pairs[j], pairs[i + j]
-                if len(u1) and len(u2) and len(u3):
-                    out[(i, j)] = ta[u1[:, None, None], u2[:, None], u3] * tb[v1[:, None, None], v2[:, None], v3]
-        return out
-
-    cup2 = cube_blocks(*(
+    )
+    cup2_a, cup2_b = (
         _whole((at,) * 3, {
             (i, j, i + j): m.cup_tensor(i, j) for i in range(m.dimension + 1) for j in range(m.dimension + 1 - i)
         }, np.uint8)
         for m, at in ((a, fa), (b, fb))
-    ), f_at, f_u, f_v)
-    # the integral products in int64 when no entry can wrap, exactly otherwise
+    )
     int_a, int_b = (
         _whole((at,) * 3, {(i, j, i + j): t for (i, j), t in m.cup_int.items() if i + j <= m.dimension}, object)
         for m, at in ((a, za), (b, zb))
     )
-    big_a, big_b = max_abs(int_a), max_abs(int_b)
-    if max(big_a, big_b, big_a * big_b) < 1 << 63:
-        int_a, int_b = int_a.astype(np.int64), int_b.astype(np.int64)
-    # the sign (-1)^(j1 i2): the left element's degree in b times the right one's in a
-    odd_left, odd_right = z_j % 2, z_i % 2
-    cup_int = {
-        (i, j): t * (1 - 2 * (odd_left[z_at[i]:z_at[i + 1], None] & odd_right[z_at[j]:z_at[j + 1]]))[:, :, None]
-        for (i, j), t in cube_blocks(int_a, int_b, z_at, z_u, z_v).items()
-    }
+    # (-1)^(j1 i2): the left generator's degree in b times the right one's in a
+    odd_b, odd_a = (np.repeat(np.arange(len(at) - 1) % 2, np.diff(at)) for at in (zb, za))
+
+    def products(B):
+        """The degree pairs (i, j) whose product block is not empty in basis B."""
+        return [(i, j) for i in range(n + 1) for j in range(n + 1 - i) if all(len(B[d][0]) for d in (i, j, i + j))]
 
     return CohomologyModel(
         dimension=n,
         pieces=pieces,
-        rho2=[rho2(d, d) for d in range(n + 1)],
-        beta=[beta(d + 1, d) for d in range(n)] + [np.zeros((0, f_at[n + 1] - f_at[n]), dtype=np.int64)],
-        sq={(k, d): sq(d + k, d) for d in range(n + 1) for k in range(1, min(d, n - d) + 1)},
-        cup2=cup2,
-        cup_int=cup_int,
+        rho2=[block(rho2_a, rho2_b, F[d], Z[d]) for d in range(n + 1)],
+        beta=[block(beta_a, beta_b, Z[d + 1], F[d]) for d in range(n)] + [np.zeros((0, len(F[n][0])), dtype=np.int64)],
+        sq={(k, d): block(sq_a, sq_b, F[d + k], F[d]) for d in range(n + 1) for k in range(1, min(d, n - d) + 1)},
+        cup2={(i, j): block(cup2_a, cup2_b, F[i], F[j], F[i + j]) for i, j in products(F)},
+        cup_int={
+            (i, j): block(int_a, int_b, Z[i], Z[j], Z[i + j]) * (1 - 2 * np.outer(odd_b[Z[i][1]], odd_a[Z[j][0]]))[..., None]
+            for i, j in products(Z)
+        },
         orientable=a.orientable and b.orientable,
         label=label or f"{a.label}x{b.label}",
     )

@@ -35,22 +35,22 @@ def canonical_json(doc) -> str:
 
 
 def _want(doc, field, types, where=""):
-    if field in doc and isinstance(doc[field], types):
-        return doc[field]
-    path = f"{where}.{field}" if where else field  # formatted only for the error
+    path = f"{where}.{field}" if where else field
     if field not in doc:
         raise SchemaError(path, "missing")
-    raise SchemaError(path, f"expected {types}, got {type(doc[field]).__name__}")
+    val = doc[field]
+    if not isinstance(val, types):
+        raise SchemaError(path, f"expected {types}, got {type(val).__name__}")
+    return val
 
 
-def _degree_pair(val, dimension: int, where: str, field: str = "") -> list[int]:
-    """A pair of degrees: a list of two integers in 0..dimension.  The error
-    names ``where`` followed by ``field``."""
-    if type(val) is list and len(val) == 2:
+def _degree_pair(val, dimension: int, path: str) -> list[int]:
+    """A pair of degrees: a list of two integers in 0..dimension."""
+    if isinstance(val, list) and len(val) == 2:
         i, j = val
         if type(i) is int and type(j) is int and 0 <= i <= dimension and 0 <= j <= dimension:
             return val
-    raise SchemaError(where + field, f"expected a list of two integer degrees in 0..{dimension}")
+    raise SchemaError(path, f"expected a list of two integer degrees in 0..{dimension}")
 
 
 # -- complexes ---------------------------------------------------------------
@@ -226,7 +226,7 @@ def parse_model(text: str):
     cup2_tensors: dict[tuple[int, int], np.ndarray] = {}
     for e, entry in enumerate(_want(doc, "cup2", list)):
         where = f"cup2[{e}]"
-        i, j = _degree_pair(_want(entry, "degrees", list, where), dimension, where, ".degrees")
+        i, j = _degree_pair(_want(entry, "degrees", object, where), dimension, f"{where}.degrees")
         left = _want(entry, "left", str, where)
         right = _want(entry, "right", str, where)
         value = _want(entry, "value", list, where)
@@ -259,7 +259,7 @@ def parse_model(text: str):
             cup_int[(i, j)] = np.zeros((pieces[i].z_gens, pieces[j].z_gens, pieces[i + j].z_gens), dtype=object)
     for e, entry in enumerate(_want(doc, "cupZ", list)):
         where = f"cupZ[{e}]"
-        i, j = _degree_pair(_want(entry, "degrees", list, where), dimension, where, ".degrees")
+        i, j = _degree_pair(_want(entry, "degrees", object, where), dimension, f"{where}.degrees")
         left = _want(entry, "left", int, where)
         right = _want(entry, "right", int, where)
         value = _want(entry, "value", list, where)

@@ -129,7 +129,7 @@ def test_build_product_rejects_torsion():
 @pytest.mark.parametrize("scale", [3, 2**40])
 def test_build_product_integral_products_scale_exactly(scale):
     """Scaling both factors' integral products by c scales the product's by
-    c^2: in int64 while every entry is below 2^63, in Python ints past it."""
+    c^2, exactly also past 2^63."""
     s1 = base_models()["S1"]
     scaled = CohomologyModel(
         s1.dimension, s1.pieces, s1.rho2, s1.beta, s1.sq, s1.cup2, {k: t * scale for k, t in s1.cup_int.items()},
