@@ -44,13 +44,14 @@ def _want(doc, field, types, where=""):
     return val
 
 
-def _degree_pair(val, dimension: int, path: str) -> list[int]:
-    """A pair of degrees: a list of two integers in 0..dimension."""
+def _degree_pair(val, dimension: int, where: str, field: str = "") -> list[int]:
+    """A pair of degrees: a list of two integers in 0..dimension.  The error
+    names ``where`` followed by ``field``."""
     if isinstance(val, list) and len(val) == 2:
         i, j = val
         if type(i) is int and type(j) is int and 0 <= i <= dimension and 0 <= j <= dimension:
             return val
-    raise SchemaError(path, f"expected a list of two integer degrees in 0..{dimension}")
+    raise SchemaError(where + field, f"expected a list of two integer degrees in 0..{dimension}")
 
 
 # -- complexes ---------------------------------------------------------------
@@ -226,7 +227,9 @@ def parse_model(text: str):
     cup2_tensors: dict[tuple[int, int], np.ndarray] = {}
     for e, entry in enumerate(_want(doc, "cup2", list)):
         where = f"cup2[{e}]"
-        i, j = _degree_pair(_want(entry, "degrees", object, where), dimension, f"{where}.degrees")
+        if not isinstance(entry, dict):
+            raise SchemaError(where, "must be an object")
+        i, j = _degree_pair(entry.get("degrees"), dimension, where, ".degrees")
         left = _want(entry, "left", str, where)
         right = _want(entry, "right", str, where)
         value = _want(entry, "value", list, where)
@@ -259,7 +262,9 @@ def parse_model(text: str):
             cup_int[(i, j)] = np.zeros((pieces[i].z_gens, pieces[j].z_gens, pieces[i + j].z_gens), dtype=object)
     for e, entry in enumerate(_want(doc, "cupZ", list)):
         where = f"cupZ[{e}]"
-        i, j = _degree_pair(_want(entry, "degrees", object, where), dimension, f"{where}.degrees")
+        if not isinstance(entry, dict):
+            raise SchemaError(where, "must be an object")
+        i, j = _degree_pair(entry.get("degrees"), dimension, where, ".degrees")
         left = _want(entry, "left", int, where)
         right = _want(entry, "right", int, where)
         value = _want(entry, "value", list, where)

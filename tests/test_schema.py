@@ -151,3 +151,17 @@ def test_parse_rejects_malformed_degree_pairs(field, where, value, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == EXIT_CODES["parse_error"]
+
+
+@pytest.mark.parametrize("field", ["cup2", "cupZ"])
+def test_parse_rejects_product_entries_without_degrees(field):
+    """A product entry is an object with a degree pair; a missing pair or an
+    entry of another type is a schema error naming the entry."""
+    doc = json.loads(emit_model(library("S1xCP4")))
+    del doc[field][4]["degrees"]
+    with pytest.raises(SchemaError, match=rf"{field}\[4\]\.degrees"):
+        parse_model(json.dumps(doc))
+    for entry in (5, "degrees", [1, 2]):
+        doc[field][4] = entry
+        with pytest.raises(SchemaError, match=rf"{field}\[4\]: must be an object"):
+            parse_model(json.dumps(doc))
