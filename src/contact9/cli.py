@@ -28,8 +28,10 @@ from . import __version__
 from .charclasses import ModelInvariantError, PreconditionError, checked_classes, spinc_data
 from .decider import Outcome, ValidationFailedError, analyse, decide, decide_connected_sum
 from .library import LIBRARY_NAMES, library
-from .model import ManifoldModel, validate
-from .schema import SchemaError, canonical_json, emit_model, parse_model
+from .model import ManifoldModel, NotClosedManifoldError, from_simplicial, validate
+from .schema import (
+    SchemaError, canonical_json, decode_document, emit_model, parse_complex, parse_model,
+)
 from .selftest import DEFAULT_SAMPLES, DEFAULT_SEED, run_selftest
 
 __all__ = ["Command", "run", "main", "EXIT_CODES"]
@@ -62,11 +64,6 @@ def _load_input(source: str, need_manifold: bool = True):
     Files may hold manifold models, plain cohomology models, or simplicial
     complexes (which are converted through the engine).
     """
-    import json
-
-    from .model import from_simplicial
-    from .schema import parse_complex
-
     if source.startswith("library:"):
         name = source.split(":", 1)[1]
         model = library(name)
@@ -79,14 +76,11 @@ def _load_input(source: str, need_manifold: bool = True):
         text = raw.decode()
     except UnicodeDecodeError as e:
         raise SchemaError("document", f"not UTF-8 text: {e.reason} at byte {e.start}") from None
-    try:
-        kind = json.loads(text).get("kind")
-    except (json.JSONDecodeError, AttributeError):
-        kind = None
-    if kind == "simplicial_complex":
-        model = from_simplicial(parse_complex(text), label=source)
+    doc = decode_document(text)
+    if doc.get("kind") == "simplicial_complex":
+        model = from_simplicial(parse_complex(doc), label=source)
     else:
-        model = parse_model(text)
+        model = parse_model(doc)
     if isinstance(model, ManifoldModel):
         return model, digest, model.label or source
     if model.dimension == 9 and model.orientable:
@@ -253,7 +247,7 @@ def run(cmd: Command):
     except ValidationFailedError as e:
         report["warnings"].append(str(e))
         code = EXIT_CODES["invalid"]
-    except (ModelInvariantError, PreconditionError, AssertionError) as e:
+    except (ModelInvariantError, PreconditionError, NotClosedManifoldError, AssertionError) as e:
         report["warnings"].append(f"model contract violation: {e}")
         code = EXIT_CODES["invalid"]
     elapsed_ms = int((time.monotonic() - t0) * 1000)

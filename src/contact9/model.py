@@ -895,9 +895,9 @@ def from_simplicial(x: SimplicialComplex, label: str = "") -> CohomologyModel:
         for (i, j), t in cup_int_q.items()
     }
 
-    top = pieces[n]
-    if top.f2_dim != 1:
+    if n < 0 or pieces[n].f2_dim != 1:  # n < 0: the empty complex
         raise NotClosedManifoldError("top mod-2 cohomology is not one-dimensional")
+    top = pieces[n]
     orientable = top.z_rank == 1 and not top.z_torsion
 
     model = CohomologyModel(

@@ -2,14 +2,19 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contact9.cli import EXIT_CODES, Command, main, run
 from contact9.cohomology import Cohomology, CohomologyClass
-from contact9.library import library
+from contact9.complexes import torus_7
+from contact9.library import LIBRARY_NAMES, library
 from contact9.model import CohomologyModel, ManifoldModel
-from contact9.schema import emit_model
+from contact9.schema import emit_complex, emit_model
+from probe_documents import VALUES, leaves, with_leaf
 
 
 def run_cmd(*args):
@@ -358,3 +363,38 @@ def test_missing_integral_product_tensor_is_a_precondition(tmp_path):
         code, report = run(Command(verb, [path]))
         assert code == EXIT_CODES["invalid"], (verb, path)
         assert any("integral product tensor (2,6)" in w for w in report["warnings"])
+
+
+def _mutation_sources() -> dict[str, tuple[dict, list]]:
+    docs = {name: json.loads(emit_model(library(name))) for name in LIBRARY_NAMES}
+    docs["torus_7"] = json.loads(emit_complex(torus_7()))
+    return {name: (doc, [p for p, _ in leaves(doc)]) for name, doc in docs.items()}
+
+
+_MUTATION_SOURCES = _mutation_sources()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_is_total_on_single_leaf_mutations(data):
+    """Any single-leaf mutation of a library document or of a complex
+    document gives a documented exit code, never an exception."""
+    doc, paths = _MUTATION_SOURCES[data.draw(st.sampled_from(sorted(_MUTATION_SOURCES)))]
+    mutant = with_leaf(doc, data.draw(st.sampled_from(paths)), data.draw(st.sampled_from(VALUES)))
+    verb = data.draw(st.sampled_from(("validate", "classes", "decide")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        with open(path, "w") as fh:
+            json.dump(mutant, fh)
+        code, _ = run(Command(verb=verb, inputs=[path], samples=0))
+    assert code in EXIT_CODES.values()
+
+
+def test_empty_complex_is_not_a_manifold(tmp_path):
+    doc = json.loads(emit_complex(torus_7()))
+    doc["facets"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(Command(verb="validate", inputs=[str(path)]))
+    assert code == EXIT_CODES["invalid"]
+    assert report["warnings"] == ["model contract violation: top mod-2 cohomology is not one-dimensional"]
