@@ -3,16 +3,16 @@ building blocks they are assembled from.
 
 Most models are truncated polynomial algebras on one or two generators, so
 their tables (products, Steenrod squares) are generated from the generator
-data by the Cartan formula rather than written out by hand.  Models with
-integral torsion (the Dold manifold, real projective 5-space) declare their
-integral side explicitly; the mod-2 Bockstein matrices are pinned down by
-the requirement that reduction followed by nothing else equals Sq^1, which
-is unambiguous here because all torsion has order two and reduces injectively.
-"""
+data by the Cartan formula rather than written out by hand.  The models with
+integral torsion (the Dold manifold, real projective 5-space) declare only
+which monomial each integral generator reduces to; their Bocksteins and
+integral products are read off the mod-2 tables, which is unambiguous
+because all their torsion has order two and reduces injectively."""
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+from operator import add
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def _mono_name(gens, expo) -> str:
 
 
 def _mono_mul(gens, m1, m2):
-    out = tuple(a + b for a, b in zip(m1, m2))
+    out = tuple(map(add, m1, m2))
     for (_n, _d, power), e in zip(gens, out):
         if e >= power:
             return None
@@ -79,24 +79,24 @@ def _monomial_f2_data(gens, sq_gen):
 
     total_sq = {g[0]: frozenset(map(tuple, sq_gen[g[0]])) for g in gens}
 
-    def mono_total_sq(m) -> frozenset:
-        acc = frozenset({tuple(0 for _ in gens)})
-        for g, e in zip(gens, m):
-            for _ in range(e):
-                acc = _poly_mul(gens, acc, total_sq[g[0]])
-        return acc
-
+    # the total square of a monomial is that of the monomial with one factor
+    # fewer times that of the factor (Cartan formula); in degree order the
+    # shorter monomial comes first
+    one = basis[0][0]
+    squares = {one: frozenset({one})}
     sq: dict[tuple[int, int], np.ndarray] = {}
     for d in range(dimension + 1):
         for col, m in enumerate(basis[d]):
-            for t in mono_total_sq(m):
+            if m != one:
+                g = next(g for g, e in enumerate(m) if e)
+                squares[m] = _poly_mul(gens, squares[m[:g] + (m[g] - 1,) + m[g + 1:]], total_sq[gens[g][0]])
+            for t in squares[m]:
                 k = _mono_degree(gens, t) - d
                 if k <= 0:
                     continue
-                mtx = sq.setdefault(
-                    (k, d), np.zeros((len(basis[d + k]), len(basis[d])), dtype=np.uint8)
-                )
-                mtx[index[d + k][t], col] ^= 1
+                if (k, d) not in sq:
+                    sq[(k, d)] = np.zeros((len(basis[d + k]), len(basis[d])), dtype=np.uint8)
+                sq[(k, d)][index[d + k][t], col] ^= 1
 
     cup2: dict[tuple[int, int], np.ndarray] = {}
     for i in range(dimension + 1):
@@ -115,6 +115,20 @@ def _monomial_f2_data(gens, sq_gen):
     return dimension, basis, index, names, sq, cup2
 
 
+def _torsion_free_model(dimension, pieces, sq, cup2, label: str) -> CohomologyModel:
+    """The model whose integral classes are all free and reduce to the mod-2
+    basis: reduction is the identity, the Bocksteins vanish and the integral
+    products are the mod-2 ones with coefficient +1."""
+    rho2 = [np.eye(p.f2_dim, dtype=np.uint8) for p in pieces]
+    beta = [np.zeros((pieces[d + 1].z_gens if d < dimension else 0, pieces[d].f2_dim), dtype=np.int64)
+            for d in range(dimension + 1)]
+    cup_int = {key: t.astype(object) for key, t in cup2.items()}
+    return CohomologyModel(
+        dimension=dimension, pieces=pieces, rho2=rho2, beta=beta, sq=sq,
+        cup2=cup2, cup_int=cup_int, orientable=True, label=label,
+    )
+
+
 def monomial_model(gens, sq_gen, label: str) -> CohomologyModel:
     """Torsion-free model whose integral and mod-2 bases are the monomials.
 
@@ -127,15 +141,65 @@ def monomial_model(gens, sq_gen, label: str) -> CohomologyModel:
         raise ValueError("at most one odd-degree generator is supported")
     if odd and odd[0][2] != 2:
         raise ValueError("an odd generator must square to zero")
-    dimension, basis, index, names, sq, cup2 = _monomial_f2_data(gens, sq_gen)
+    dimension, basis, _index, names, sq, cup2 = _monomial_f2_data(gens, sq_gen)
     pieces = [GradedPiece(len(basis[d]), (), names[d]) for d in range(dimension + 1)]
-    rho2 = [np.eye(len(basis[d]), dtype=np.uint8) for d in range(dimension + 1)]
-    beta = [np.zeros((len(basis[d + 1]) if d + 1 <= dimension else 0, len(basis[d])), dtype=np.int64)
-            for d in range(dimension + 1)]
-    cup_int = {key: t.astype(object) for key, t in cup2.items()}
+    return _torsion_free_model(dimension, pieces, sq, cup2, label)
+
+
+def two_torsion_model(gens, sq_gen, free: dict, torsion: dict, label: str) -> CohomologyModel:
+    """Model of F2[gens]/(truncations) whose integral torsion all has order 2.
+
+    ``free`` and ``torsion`` map a degree to the monomial (exponent tuple)
+    that its free generator, or its order-2 generator, reduces to; a degree
+    has one generator of each kind it is named in, the free one first.  The
+    rest follows from the mod-2 tables, since reduction is injective on
+    2-torsion: the Bockstein of x is the torsion generator's coefficient in
+    Sq^1 x, and an integral product that 2 annihilates is the torsion
+    coordinate of the product of the reductions.  Products into a degree
+    without torsion are left undeclared; a product of two free classes into a
+    degree with a free generator cannot be derived, and raises ``ValueError``.
+    """
+    dimension, basis, index, names, sq, cup2 = _monomial_f2_data(gens, sq_gen)
+    pieces = [GradedPiece(int(d in free), (2,) if d in torsion else (), names[d]) for d in range(dimension + 1)]
+    # the mod-2 basis index each integral generator reduces to, free first
+    reduces_to = [[index[d][m[d]] for m in (free, torsion) if d in m] for d in range(dimension + 1)]
+    rho2 = []
+    for d, rows in enumerate(reduces_to):
+        r = np.zeros((len(basis[d]), len(rows)), dtype=np.uint8)
+        for g, row in enumerate(rows):
+            r[row, g] = 1
+        rho2.append(r)
+    beta = []
+    for d in range(dimension + 1):
+        b = np.zeros((pieces[d + 1].z_gens if d < dimension else 0, len(basis[d])), dtype=np.int64)
+        if d + 1 in torsion and (1, d) in sq:
+            b[-1] = sq[(1, d)][index[d + 1][torsion[d + 1]]]
+        beta.append(b)
+    cup_int = {}
+    present = [d for d, rows in enumerate(reduces_to) if rows]
+    for i, j in iproduct(present, repeat=2):
+        k = i + j
+        if k > dimension or not reduces_to[k]:
+            continue
+        shape = (len(reduces_to[i]), len(reduces_to[j]), len(reduces_to[k]))
+        if i == 0 or j == 0:
+            t = cup_int[(i, j)] = np.zeros(shape, dtype=object)
+            for g in range(shape[2]):
+                t[(0, g, g) if i == 0 else (g, 0, g)] = 1
+        elif k in torsion:
+            if i in free and j in free and k in free:
+                raise ValueError(
+                    f"integral product ({i}, {j}) of two free classes lands in a degree with a "
+                    "free generator; it cannot be derived from reductions"
+                )
+            t = cup_int[(i, j)] = np.zeros(shape, dtype=object)
+            product = cup2[(i, j)][:, :, index[k][torsion[k]]]
+            for x, mx in enumerate(reduces_to[i]):
+                for y, my in enumerate(reduces_to[j]):
+                    t[x, y, -1] = product[mx, my]
     return CohomologyModel(
-        dimension=dimension, pieces=pieces, rho2=rho2, beta=beta, sq=sq,
-        cup2=cup2, cup_int=cup_int, orientable=True, label=label,
+        dimension=dimension, pieces=pieces, rho2=rho2, beta=beta, sq=sq, cup2=cup2,
+        cup_int=cup_int, orientable=True, label=label,
     )
 
 
@@ -167,160 +231,26 @@ def base_models() -> dict[str, CohomologyModel]:
 
 
 def rp5_model() -> CohomologyModel:
-    """Real projective 5-space: F2[x]/(x^6) with the standard torsion pattern."""
-    gens = [("x", 1, 6)]
-    dimension, basis, index, names, sq, cup2 = _monomial_f2_data(gens, {"x": [(1,), (2,)]})
-    # integral side: Z, 0, Z/2 (ords x^2), 0, Z/2 (ords x^4), Z (ords x^5)
-    pieces = [
-        GradedPiece(1, (), names[0]),
-        GradedPiece(0, (), names[1]),
-        GradedPiece(0, (2,), names[2]),
-        GradedPiece(0, (), names[3]),
-        GradedPiece(0, (2,), names[4]),
-        GradedPiece(1, (), names[5]),
-    ]
-    rho2 = [
-        np.array([[1]], dtype=np.uint8),
-        np.zeros((1, 0), dtype=np.uint8),
-        np.array([[1]], dtype=np.uint8),
-        np.zeros((1, 0), dtype=np.uint8),
-        np.array([[1]], dtype=np.uint8),
-        np.array([[1]], dtype=np.uint8),
-    ]
-    beta = [
-        np.zeros((0, 1), dtype=np.int64),          # H^0 -> H^1(Z) = 0
-        np.array([[1]], dtype=np.int64),           # beta(x) = T
-        np.zeros((0, 1), dtype=np.int64),          # H^3(Z) = 0
-        np.array([[1]], dtype=np.int64),           # beta(x^3) = T^2
-        np.array([[0]], dtype=np.int64),           # beta(x^4) = 0
-        np.zeros((0, 1), dtype=np.int64),
-    ]
-    cup_int = {}
-    for i in range(6):
-        for j in range(6 - i):
-            zi, zj, zt = pieces[i].z_gens, pieces[j].z_gens, pieces[i + j].z_gens
-            if not (zi and zj and zt):
-                continue
-            t = np.zeros((zi, zj, zt), dtype=object)
-            if i == 0:
-                for y in range(zj):
-                    t[0, y, y] = 1
-            elif j == 0:
-                for x in range(zi):
-                    t[x, 0, x] = 1
-            elif (i, j) == (2, 2):
-                t[0, 0, 0] = 1                     # T . T = T^2
-            else:
-                continue
-            cup_int[(i, j)] = t
-    return CohomologyModel(
-        dimension=5, pieces=pieces, rho2=rho2, beta=beta, sq=sq, cup2=cup2,
-        cup_int=cup_int, orientable=True, label="RP5",
+    """Real projective 5-space: F2[x]/(x^6), integrally Z, 0, Z/2, 0, Z/2, Z."""
+    return two_torsion_model(
+        [("x", 1, 6)], {"x": [(1,), (2,)]},
+        free={0: (0,), 5: (5,)}, torsion={2: (2,), 4: (4,)}, label="RP5",
     )
 
 
 def dold_model() -> ManifoldModel:
     """The 9-dimensional Dold manifold: F2[c,d]/(c^6, d^3) with Sq1 c = c^2,
     Sq1 d = cd, Sq2 d = d^2; orientable but with nonvanishing degree-3
-    integral class."""
-    gens = [("c", 1, 6), ("d", 2, 3)]
-    sq_gen = {"c": [(1, 0), (2, 0)], "d": [(0, 1), (1, 1), (0, 2)]}
-    dimension, basis, index, names, sq, cup2 = _monomial_f2_data(gens, sq_gen)
-    assert dimension == 9
-
-    # integral structure: free classes reduce to d^2 (deg 4), c^5 (deg 5),
-    # c^5 d^2 (deg 9); one order-2 class per degree 2..8 reducing to the
-    # image of Sq^1 one degree down
-    free_red = {0: (0, 0), 4: (0, 2), 5: (5, 0), 9: (5, 2)}
-    torsion_red = {
-        2: (2, 0),        # reduction c^2       (Bockstein of c)
-        3: (1, 1),        # cd                  (Bockstein of d)
-        4: (4, 0),        # c^4                 (Bockstein of c^3)
-        5: (3, 1),        # c^3 d               (Bockstein of c^2 d)
-        6: (2, 2),        # c^2 d^2             (Bockstein of c d^2)
-        7: (5, 1),        # c^5 d               (Bockstein of c^4 d)
-        8: (4, 2),        # c^4 d^2             (Bockstein of c^3 d^2)
-    }
-    pieces = []
-    for d in range(10):
-        pieces.append(
-            GradedPiece(
-                z_rank=1 if d in free_red else 0,
-                z_torsion=(2,) if d in torsion_red else (),
-                f2_basis=names[d],
-            )
-        )
-    rho2 = []
-    for d in range(10):
-        mtx = np.zeros((len(basis[d]), pieces[d].z_gens), dtype=np.uint8)
-        col = 0
-        if d in free_red:
-            mtx[index[d][free_red[d]], col] = 1
-            col += 1
-        if d in torsion_red:
-            mtx[index[d][torsion_red[d]], col] = 1
-        rho2.append(mtx)
-
-    beta = []
-    for d in range(10):
-        tgt = pieces[d + 1].z_gens if d + 1 <= 9 else 0
-        mtx = np.zeros((tgt, len(basis[d])), dtype=np.int64)
-        if d + 1 <= 9 and (d + 1) in torsion_red:
-            row = pieces[d + 1].z_rank  # torsion generator sits after the free ones
-            target_mono = torsion_red[d + 1]
-            for col, m in enumerate(basis[d]):
-                # Sq^1(c^a d^b) = (a + b) c^{a+1} d^b
-                a, b = m
-                if (a + b) % 2 and a + 1 < 6:
-                    if (a + 1, b) == target_mono:
-                        mtx[row, col] = 1
-        beta.append(mtx)
-
-    # integral products determined by the torsion orders and injectivity of
-    # reduction on the 2-torsion; the free (4,5) pairing is left undeclared
-    cup_int = {}
-    for i in range(10):
-        for j in range(10 - i):
-            zi, zj, zt = pieces[i].z_gens, pieces[j].z_gens, pieces[i + j].z_gens
-            if not (zi and zj and zt):
-                continue
-            if i == 0 or j == 0:
-                t = np.zeros((zi, zj, zt), dtype=object)
-                if i == 0:
-                    for y in range(zj):
-                        t[0, y, y] = 1
-                else:
-                    for x in range(zi):
-                        t[x, 0, x] = 1
-                cup_int[(i, j)] = t
-                continue
-            if i + j == 9:
-                continue  # free top pairing not needed by the decider
-            # every middle product here is annihilated by 2 (either a factor
-            # is torsion, or the target group is pure torsion), hence is
-            # determined by its mod-2 reduction
-            t = np.zeros((zi, zj, zt), dtype=object)
-            for x in range(zi):
-                for y in range(zj):
-                    both_free = x < pieces[i].z_rank and y < pieces[j].z_rank
-                    if both_free and pieces[i + j].z_rank:
-                        raise AssertionError("free-valued middle product cannot be derived from reductions")
-                    red_x = rho2[i][:, x]
-                    red_y = rho2[j][:, y]
-                    mono_x = basis[i][int(np.nonzero(red_x)[0][0])]
-                    mono_y = basis[j][int(np.nonzero(red_y)[0][0])]
-                    prod = _mono_mul(gens, mono_x, mono_y)
-                    if prod is None:
-                        continue
-                    if (i + j) in torsion_red and prod == torsion_red[i + j]:
-                        t[x, y, pieces[i + j].z_rank] = 1
-            cup_int[(i, j)] = t
-
-    model = CohomologyModel(
-        dimension=9, pieces=pieces, rho2=rho2, beta=beta, sq=sq, cup2=cup2,
-        cup_int=cup_int, orientable=True, label="Dold_5_2",
+    integral class.  Integrally it is Z in degrees 0, 4, 5 and 9 and Z/2 in
+    each degree 2..8, the order-2 class reducing to the image of Sq^1 one
+    degree down."""
+    m = two_torsion_model(
+        [("c", 1, 6), ("d", 2, 3)], {"c": [(1, 0), (2, 0)], "d": [(0, 1), (1, 1), (0, 2)]},
+        free={0: (0, 0), 4: (0, 2), 5: (5, 0), 9: (5, 2)},
+        torsion={2: (2, 0), 3: (1, 1), 4: (4, 0), 5: (3, 1), 6: (2, 2), 7: (5, 1), 8: (4, 2)},
+        label="Dold_5_2",
     )
-    return ManifoldModel(model, label="Dold_5_2")
+    return ManifoldModel(m, label="Dold_5_2")
 
 
 def m1_model() -> ManifoldModel:
@@ -329,12 +259,8 @@ def m1_model() -> ManifoldModel:
     degree-5 tangential invariant pairing to 1 against w4."""
     dims = {0: ("1",), 4: ("x4",), 5: ("x5",), 9: ("top",)}
     pieces = [GradedPiece(1 if d in dims else 0, (), dims.get(d, ())) for d in range(10)]
-    rho2 = [np.eye(pieces[d].f2_dim, dtype=np.uint8) for d in range(10)]
-    beta = [np.zeros((pieces[d + 1].z_gens if d + 1 <= 9 else 0, pieces[d].f2_dim), dtype=np.int64)
-            for d in range(10)]
     sq = {(4, 5): np.array([[1]], dtype=np.uint8)}
     cup2 = {}
-    cup_int = {}
     for i in range(10):
         for j in range(10 - i):
             di, dj, dt = pieces[i].f2_dim, pieces[j].f2_dim, pieces[i + j].f2_dim
@@ -344,11 +270,7 @@ def m1_model() -> ManifoldModel:
             if i == 0 or j == 0 or (i, j) in ((4, 5), (5, 4)):
                 t[0, 0, 0] = 1
             cup2[(i, j)] = t
-            cup_int[(i, j)] = t.astype(object)
-    model = CohomologyModel(
-        dimension=9, pieces=pieces, rho2=rho2, beta=beta, sq=sq, cup2=cup2,
-        cup_int=cup_int, orientable=True, label="M1_surgered",
-    )
+    model = _torsion_free_model(9, pieces, sq, cup2, "M1_surgered")
     return ManifoldModel(model, phi_hat=model.f2(5, [1]), label="M1_surgered")
 
 
@@ -406,15 +328,10 @@ def synthetic_spinc_models() -> list[ManifoldModel]:
     """Non-spin models with vanishing degree-3 integral class, used by the
     choice-independence suites."""
     rp5xcp2, s1xcp4 = rp5_x_cp2(), _s1xcp4()
-    out = [
+    return [
         rp5xcp2,
         connected_sum(s1xcp4, s1xcp4),
         connected_sum(s1xcp4, _s1xhp2()),
         connected_sum(s1xcp4, m1_model()),
         connected_sum(rp5xcp2, s1xcp4),
     ]
-    for k, m in enumerate(out):
-        if not m.label:
-            m = ManifoldModel(m.cohomology, m.phi_hat, m.omega_pc, label=f"synthetic{k}")
-        out[k] = m
-    return out

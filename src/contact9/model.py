@@ -22,6 +22,7 @@ import numpy as np
 
 from . import f2
 from .cohomology import Cohomology
+from .intlinalg import _python_ints
 from .simplicial import SimplicialComplex, bockstein, cup, reduce_mod, square
 
 if TYPE_CHECKING:
@@ -119,13 +120,10 @@ def _pull_back(left: np.ndarray, right: np.ndarray, t: np.ndarray) -> np.ndarray
     return _f2_einsum("qy,xqz->xyz", right, np.einsum("px,pqz->xqz", left, t, dtype=np.int64))
 
 
-_to_int = np.frompyfunc(int, 1, 1)
-
-
 def _reduce_rows(a, orders: tuple, axis: int = 0) -> np.ndarray:
     """Exact copy in Python ints, reduced modulo orders[r] at index r of the
     axis; the free generators (order 0) come first, as in ``z_orders``."""
-    out = _to_int(np.asarray(a, dtype=object))
+    out = _python_ints(np.asarray(a, dtype=object))
     rank = orders.count(0)
     if rank < len(orders):
         torsion = (slice(None),) * axis + (slice(rank, None),)

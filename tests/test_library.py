@@ -1,12 +1,17 @@
 """The named models: validity and their pinned characteristic-class facts."""
 
 import importlib
+from math import comb
 
 import pytest
 
 from contact9.charclasses import sw_classes, wu_classes
-from contact9.library import LIBRARY_NAMES, base_models, library, rp5_model, synthetic_spinc_models
-from contact9.model import validate
+from contact9.decider import O8Branch, Outcome, analyse, decide
+from contact9.library import (
+    LIBRARY_NAMES, base_models, library, rp5_model, synthetic_spinc_models, two_torsion_model,
+)
+from contact9.model import ManifoldModel, validate
+from contact9.schema import emit_model
 
 
 @pytest.mark.parametrize("name", LIBRARY_NAMES)
@@ -80,6 +85,46 @@ def test_rp5_model_is_valid():
     assert validate(m).ok
     assert m.piece(2).z_torsion == (2,)
     assert m.piece(4).z_torsion == (2,)
+
+
+def _real_projective(n):
+    """RP^n for odd n: F2[x]/(x^(n+1)); integrally Z in degrees 0 and n and
+    Z/2 in each even degree 2..n-1, reducing to the power of x."""
+    return two_torsion_model(
+        [("x", 1, n + 1)], {"x": [(1,), (2,)]},
+        free={0: (0,), n: (n,)}, torsion={d: (d,) for d in range(2, n, 2)}, label=f"RP{n}",
+    )
+
+
+@pytest.mark.parametrize("n, nonzero_w", [(3, []), (5, [2, 4]), (7, []), (9, [2, 8])])
+def test_real_projective_spaces_from_two_torsion_builder(n, nonzero_w):
+    m = _real_projective(n)
+    assert validate(m).ok
+    sw = sw_classes(m)
+    assert sw.W3.is_zero()
+    # w = (1 + x)^(n+1): w_k is x^k when C(n+1, k) is odd and zero otherwise
+    assert [k for k, w in sw.w.items() if not w.is_zero()] == nonzero_w
+    assert all(w.bits == (comb(n + 1, k) % 2,) for k, w in sw.w.items())
+
+
+def test_rp5_declaration_is_the_odd_real_projective_one():
+    assert emit_model(_real_projective(5)) == emit_model(rp5_model())
+
+
+def test_rp9_is_contact_on_the_w4_zero_branch():
+    # the standard contact structure on S^9 descends to RP^9
+    a = analyse(ManifoldModel(_real_projective(9), label="RP9"))
+    assert a.branch is O8Branch.W4_ZERO
+    assert decide(a).outcome is Outcome.CONTACT
+
+
+def test_two_torsion_builder_refuses_free_product_into_free_degree():
+    # a.a lands in degree 2, which has the free class ab besides the order-2 a^2
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        two_torsion_model(
+            [("a", 1, 3), ("b", 1, 2)], {"a": [(1, 0), (2, 0)], "b": [(0, 1)]},
+            free={0: (0, 0), 1: (1, 0), 2: (1, 1)}, torsion={2: (2, 0)}, label="F2[a,b]/(a^3,b^2)",
+        )
 
 
 def test_synthetic_models_are_spinc_nonspin():
