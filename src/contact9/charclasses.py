@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import f2
-from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass, _cohomology, _reduce_rows
+from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass, _cohomology, _reduce_rows, _total_square
 
 __all__ = [
     "WuClasses", "SWClasses", "CosetH8", "SpincData",
@@ -172,15 +172,12 @@ def wu_classes(model) -> WuClasses:
 
 
 def sw_from_wu(m: CohomologyModel, wu: dict) -> dict:
-    """Stiefel-Whitney classes w_1..w_n from Wu classes: w_k = sum_i Sq^i(v_{k-i})."""
-    v = {0: m.f2(0, [1]), **wu}
-    w = {}
-    for k in range(1, m.dimension + 1):
-        acc = m.zero_f2(k)
-        for i in range(k + 1):
-            acc = acc + m.sq_map(i, v[k - i])
-        w[k] = acc
-    return w
+    """Stiefel-Whitney classes w_1..w_n from Wu classes by the Wu formula
+    w = Sq(v), with the total square: w_k = sum_i Sq^i(v_{k-i})."""
+    n = m.dimension
+    v = np.concatenate([m.f2(0, [1]).vec()] + [wu[k].vec() for k in range(1, n + 1)])
+    w = np.split(f2.mat_vec(_total_square(m), v), np.cumsum([m.f2_dim(d) for d in range(n)]))
+    return {k: m.f2(k, w[k]) for k in range(1, n + 1)}
 
 
 def sw_classes(model) -> SWClasses:

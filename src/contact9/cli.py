@@ -241,6 +241,9 @@ def run(cmd: Command):
     except FileNotFoundError as e:
         report["warnings"].append(f"input not found: {e.filename}")
         code = EXIT_CODES["parse_error"]
+    except OSError as e:
+        report["warnings"].append(f"cannot read input {e.filename}: {e.strerror}")
+        code = EXIT_CODES["parse_error"]
     except KeyError as e:
         report["warnings"].append(f"unknown input: {e}")
         code = EXIT_CODES["parse_error"]

@@ -21,7 +21,7 @@ from .charclasses import (
     bockstein_vanishes_on, compute_dm, half_product_solutions, integral_lift,
     sigma_w4, spinc_data, sq2_image_subspace,
 )
-from .model import CohomologyModel, ManifoldModel, ZClass, _reduce_rows, connected_sum, validate
+from .model import CohomologyModel, ManifoldModel, ZClass, _reduce_rows, connected_sum, transform_model, validate
 
 __all__ = [
     "Outcome", "ObstructionStage", "O8Branch", "MissingDatum", "Trail", "Verdict",
@@ -382,18 +382,29 @@ class IsoRejected(ValueError):
     pass
 
 
+# the IsoRejected message for each family of CohomologyModel.differences
+_ISO_MESSAGES = {
+    "sq": "Sq^{} does not commute in degree {}",
+    "beta": "Bockstein does not commute in degree {}",
+    "rho2": "reduction does not commute in degree {}",
+    "cup2": "cup product does not commute at ({},{})",
+    "cup_int": "integral product does not commute at ({},{})",
+    "cup2 missing": "product tensor ({},{}) missing on one side",
+    "cup_int missing": "integral product tensor ({},{}) missing on one side",
+}
+
+
 def _verify_iso(a: ManifoldModel, b: ManifoldModel, iso: GradedIso):
-    """Check that the correspondence is invertible and carries every operation
-    of a to that of b: one matrix identity per family and degree, in the
-    order Sq^k (k ascending), Bockstein and reduction per degree, then the
-    products."""
+    """Check that the correspondence is invertible and carries a onto b: a
+    carried along it must have b's tables, compared by
+    ``CohomologyModel.differences``, and b's extra classes."""
     ma, mb = a.cohomology, b.cohomology
     if ma.dimension != mb.dimension:
         raise IsoRejected("dimension mismatch")
     n = ma.dimension
-    F, Z = [], []  # the mod-2 maps, and the integral maps reduced modulo the generator orders
+    F, Z, H = [], [], []  # the mod-2 maps, the integral maps and their inverses
     for d in range(n + 1):
-        f = np.asarray(iso.f2_maps.get(d, np.zeros((0, 0))), dtype=np.uint8)
+        f = np.asarray(iso.f2_maps.get(d, np.zeros((0, 0))), dtype=np.uint8) & 1
         if f.shape != (mb.f2_dim(d), ma.f2_dim(d)):
             raise IsoRejected(f"mod-2 map in degree {d} has the wrong shape")
         if ma.f2_dim(d) and not f2.is_invertible(f):
@@ -406,48 +417,29 @@ def _verify_iso(a: ManifoldModel, b: ManifoldModel, iso: GradedIso):
             not np.array_equal(_reduce_rows(zi.dot(_reduce_rows(z, orders)), orders), eye)
         ):
             raise IsoRejected(f"integral map in degree {d} is not invertible")
-        F.append(f & 1)
+        F.append(f)
         Z.append(_reduce_rows(z, orders))
-    # structure compatibility
-    for d in range(n + 1):
-        for k in range(1, n - d + 1):
-            lhs = f2.mat_mul(F[d + k], ma.sq_matrix(k, d))
-            if not np.array_equal(lhs, f2.mat_mul(mb.sq_matrix(k, d), F[d])):
-                raise IsoRejected(f"Sq^{k} does not commute in degree {d}")
-        if d < n:
-            orders = ma.z_orders(d + 1)
-            lhs = _reduce_rows(Z[d + 1].dot(_reduce_rows(ma.beta[d], orders)), orders)
-            if not np.array_equal(lhs, _reduce_rows(mb.beta[d].astype(object).dot(F[d]), orders)):
-                raise IsoRejected(f"Bockstein does not commute in degree {d}")
-        if not np.array_equal(f2.mat_mul(mb.rho2[d], Z[d] & 1), f2.mat_mul(F[d], ma.rho2[d])):
-            raise IsoRejected(f"reduction does not commute in degree {d}")
-    for (i, j) in ma.cup2:
-        if (i, j) not in mb.cup2:
-            raise IsoRejected(f"product tensor ({i},{j}) missing on one side")
-        if i + j > n:
-            continue
-        lhs = np.einsum("xyz,Zz->xyZ", ma.cup_tensor(i, j), F[i + j], dtype=np.int64) & 1
-        rhs = np.einsum("ax,by,abz->xyz", F[i], F[j], mb.cup_tensor(i, j), dtype=np.int64) & 1
-        if not np.array_equal(lhs, rhs):
-            raise IsoRejected(f"cup product does not commute at ({i},{j})")
-    # orientation
+        H.append(_reduce_rows(zi, orders))
     if ma.orientable != mb.orientable:
         raise IsoRejected("orientability differs")
     if ma.orientable and not np.array_equal(Z[n][:, :1], [[1]]):
         raise IsoRejected("orientation class not preserved")
+    try:
+        carried = transform_model(a, F, [f2.inverse(f) for f in F], Z, H)
+    except OverflowError:  # a carried Bockstein past int64 cannot be b's
+        raise IsoRejected("Bockstein does not commute") from None
+    for family, key in carried.cohomology.differences(mb):  # the first difference
+        raise IsoRejected(_ISO_MESSAGES[family].format(*np.atleast_1d(key)))
     # extra data must correspond when present on both sides
     if (a.phi_hat is None) != (b.phi_hat is None):
         raise IsoRejected("tangential invariant class present on only one side")
-    if a.phi_hat is not None:
-        img = mb.f2(5, f2.mat_vec(iso.f2_maps[5], a.phi_hat.vec()))
-        if img != b.phi_hat:
-            raise IsoRejected("tangential invariant class not preserved")
+    if carried.phi_hat != b.phi_hat:
+        raise IsoRejected("tangential invariant class not preserved")
     if (a.omega_pc is None) != (b.omega_pc is None):
         raise IsoRejected("supplied obstruction coset present on only one side")
     if a.omega_pc is not None:
-        img = mb.f2(8, f2.mat_vec(iso.f2_maps[8], a.omega_pc.vec()))
         sub = sq2_image_subspace(mb, 6)
-        if CosetH8(img, sub) != CosetH8(b.omega_pc, sub):
+        if CosetH8(carried.omega_pc, sub) != CosetH8(b.omega_pc, sub):
             raise IsoRejected("supplied obstruction coset not preserved")
 
 

@@ -286,16 +286,13 @@ def _s9() -> ManifoldModel:
 
 def _s1xhp2() -> ManifoldModel:
     m = build_product(_block("S1"), _block("HP2"))
-    m.label = "S1xHP2"
     # the tangential invariant class: the unique one pairing w4 to the top;
     # forced by the bordism invariance of the top obstruction
     return ManifoldModel(m, phi_hat=m.f2(5, [1]), label="S1xHP2")
 
 
 def _s1xcp4() -> ManifoldModel:
-    m = build_product(_block("S1"), _block("CP4"))
-    m.label = "S1xCP4"
-    return ManifoldModel(m, label="S1xCP4")
+    return ManifoldModel(build_product(_block("S1"), _block("CP4")), label="S1xCP4")
 
 
 def library(name: str) -> ManifoldModel:

@@ -172,17 +172,18 @@ class CohomologyModel:
             if mm.any():
                 self.sq[(int(k), int(i))] = mm
 
+        # a product past the top has no coordinates, so no tensor is kept for it
         self.cup2: dict[tuple[int, int], np.ndarray] = {}
         for (i, j), t in dict(cup2).items():
-            tgt = self.f2_dim(i + j) if i + j <= self.dimension else 0
-            tt = _freeze(np.asarray(t, dtype=np.uint8).reshape(self.f2_dim(i), self.f2_dim(j), tgt))
-            self.cup2[(int(i), int(j))] = tt
+            tt = _freeze(np.asarray(t, dtype=np.uint8).reshape(self.f2_dim(i), self.f2_dim(j), self.f2_dim(i + j)))
+            if i + j <= self.dimension:
+                self.cup2[(int(i), int(j))] = tt
 
         self.cup_int: dict[tuple[int, int], np.ndarray] = {}
         for (i, j), t in dict(cup_int or {}).items():
-            tgt = self.z_gens(i + j) if i + j <= self.dimension else 0
-            src = np.asarray(t, dtype=object).reshape(self.z_gens(i), self.z_gens(j), tgt)
-            self.cup_int[(int(i), int(j))] = _freeze(_reduce_rows(src, self.z_orders(i + j), axis=2))
+            src = np.asarray(t, dtype=object).reshape(self.z_gens(i), self.z_gens(j), self.z_gens(i + j))
+            if i + j <= self.dimension:
+                self.cup_int[(int(i), int(j))] = _freeze(_reduce_rows(src, self.z_orders(i + j), axis=2))
 
     # -- shapes ---------------------------------------------------------
 
@@ -250,7 +251,7 @@ class CohomologyModel:
         """
         t = self.cup2.get((i, j))
         if t is not None:
-            return t & 1  # stored past the top, it has no product coordinates
+            return t & 1
         shape = (self.f2_dim(i), self.f2_dim(j), self.f2_dim(i + j))
         if all(shape):
             raise KeyError(f"mod-2 product tensor ({i},{j}) missing")
@@ -273,7 +274,7 @@ class CohomologyModel:
         i, j = a.degree, b.degree
         if not self.has_cup_z(i, j):
             raise KeyError(f"integral product tensor ({i},{j}) missing")
-        t = self.cup_int.get((i, j)) if i + j <= self.dimension else None
+        t = self.cup_int.get((i, j))
         if t is None:
             return self.zero_z(i + j)
         return self.z(i + j, np.einsum("x,y,xyc->c", a.vec(), b.vec(), t))
@@ -316,27 +317,38 @@ class CohomologyModel:
 
     # -- comparisons -------------------------------------------------------
 
+    def differences(self, other: "CohomologyModel"):
+        """The tables in which another model of this dimension differs, as
+        (family, key) pairs: per degree d, ("sq", (k, d)) for k ascending,
+        ("beta", d) modulo the generator orders and ("rho2", d); then
+        ("cup2", (i, j)) and ("cup_int", (i, j)) by pair.  A product tensor
+        declared on one side only is ("cup2 missing", (i, j)) or
+        ("cup_int missing", (i, j)); a square left out is zero."""
+
+        def tables(family: str, degree=None):
+            mine, theirs = getattr(self, family), getattr(other, family)
+            for key in sorted(mine.keys() | theirs.keys()):
+                if degree not in (None, key[1]):
+                    continue
+                if family != "sq" and (key not in mine or key not in theirs):
+                    yield family + " missing", key
+                elif not np.array_equal(mine.get(key), theirs.get(key)):
+                    yield family, key
+
+        for d in range(self.dimension + 1):
+            yield from tables("sq", d)
+            if not np.array_equal(*(_reduce_rows(m.beta[d], m.z_orders(d + 1)) for m in (self, other))):
+                yield "beta", d
+            if not np.array_equal(self.rho2[d], other.rho2[d]):
+                yield "rho2", d
+        yield from tables("cup2")
+        yield from tables("cup_int")
+
     def equals(self, other: "CohomologyModel") -> bool:
-        if not isinstance(other, CohomologyModel):
-            return False
-        if self.dimension != other.dimension or self.orientable != other.orientable:
-            return False
-        if self.pieces != other.pieces:
-            return False
-        for a, b in zip(self.rho2, other.rho2):
-            if not np.array_equal(a, b):
-                return False
-        for a, b in zip(self.beta, other.beta):
-            if not np.array_equal(a, b):
-                return False
-        if set(self.sq) != set(other.sq) or set(self.cup2) != set(other.cup2):
-            return False
-        if set(self.cup_int) != set(other.cup_int):
-            return False
         return (
-            all(np.array_equal(self.sq[k], other.sq[k]) for k in self.sq)
-            and all(np.array_equal(self.cup2[k], other.cup2[k]) for k in self.cup2)
-            and all(np.array_equal(self.cup_int[k], other.cup_int[k]) for k in self.cup_int)
+            isinstance(other, CohomologyModel)
+            and (self.dimension, self.orientable, self.pieces) == (other.dimension, other.orientable, other.pieces)
+            and next(self.differences(other), None) is None
         )
 
     def __repr__(self):
@@ -462,7 +474,7 @@ def _operation_checks(m: CohomologyModel, rep: ValidationReport):
                 rep.add("sq_top_is_square", i, f"Sq^{i} != cup square on basis element")
     # Cartan formula: Sq^k (a b) = sum_s Sq^s a Sq^(k-s) b on all basis pairs
     for (i, j) in sorted(m.cup2):
-        if i + j > n or not (m.f2_dim(i) and m.f2_dim(j)):
+        if not (m.f2_dim(i) and m.f2_dim(j)):
             continue
         t = m.cup_tensor(i, j)
         ks = range(1, min(i + j, n - i - j) + 1)
@@ -508,7 +520,7 @@ def _ring_checks(m: CohomologyModel, rep: ValidationReport):
                     rep.add("associativity", i + j + k, f"degrees ({i},{j},{k})")
     # integral tensors reduce to the mod-2 tensors
     for (i, j), t in sorted(m.cup_int.items()):
-        if i + j > n or (i, j) not in m.cup2:
+        if (i, j) not in m.cup2:
             continue
         lhs = _f2_einsum("zc,xyc->xyz", m.rho2[i + j], (t & 1).astype(np.int64))
         rhs = _pull_back(m.rho2[i], m.rho2[j], m.cup_tensor(i, j))
@@ -593,9 +605,8 @@ def _push(m: CohomologyModel, F, G, Z, H, units: bool = True):
     beta = [Z[d + 1].dot(m.beta[d].astype(object)).dot(G[d].astype(object)) for d in range(n)]
     beta.append(np.zeros((0, G[n].shape[1]), dtype=object))
     sq = {(k, d): _f2_einsum("ab,bc,cd->ad", F[d + k], t, G[d]) for (k, d), t in m.sq.items()}
-    keep = {(i, j) for i in range(n + 1) for j in range(n + 1 - i) if units or (i and j)}
-    cup2 = {(i, j): _carry(t, G[i], G[j], F[i + j]) & 1 for (i, j), t in m.cup2.items() if (i, j) in keep}
-    cup_int = {(i, j): _carry(t, H[i], H[j], Z[i + j]) for (i, j), t in m.cup_int.items() if (i, j) in keep}
+    cup2 = {(i, j): _carry(t, G[i], G[j], F[i + j]) & 1 for (i, j), t in m.cup2.items() if units or (i and j)}
+    cup_int = {(i, j): _carry(t, H[i], H[j], Z[i + j]) for (i, j), t in m.cup_int.items() if units or (i and j)}
     return rho2, beta, sq, cup2, cup_int
 
 
@@ -612,6 +623,16 @@ def _whole(offsets, blocks: dict, dtype) -> np.ndarray:
     for degrees, block in blocks.items():
         out[tuple(slice(o[d], o[d + 1]) for o, d in zip(offsets, degrees))] = block
     return out
+
+
+def _total_square(m: CohomologyModel) -> np.ndarray:
+    """The total square Sq = Sq^0 + Sq^1 + ... as one matrix over the mod-2
+    bases of all degrees, in order of degree."""
+    n = m.dimension
+    at = _offsets([m.f2_dim(d) for d in range(n + 1)])
+    return _whole((at, at), {
+        (d + k, d): m.sq_matrix(k, d) for d in range(n + 1) for k in range(min(d, n - d) + 1)
+    }, np.uint8)
 
 
 def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> CohomologyModel:
@@ -678,12 +699,7 @@ def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> Co
     # (second factor torsion-free, so its reduction is invertible)
     beta_a = _whole((za, fa), {(d + 1, d): a.beta[d] for d in range(a.dimension)}, np.int64)
     beta_b = _whole((zb, fb), {(j, j): f2.inverse(b.rho2[j]) for j in range(b.dimension + 1) if b.f2_dim(j)}, np.int64)
-    sq_a, sq_b = (
-        _whole((at, at), {
-            (d + k, d): m.sq_matrix(k, d) for d in range(m.dimension + 1) for k in range(min(d, m.dimension - d) + 1)
-        }, np.uint8)
-        for m, at in ((a, fa), (b, fb))
-    )
+    sq_a, sq_b = _total_square(a), _total_square(b)
     cup2_a, cup2_b = (
         _whole((at,) * 3, {
             (i, j, i + j): m.cup_tensor(i, j) for i in range(m.dimension + 1) for j in range(m.dimension + 1 - i)
@@ -691,7 +707,7 @@ def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> Co
         for m, at in ((a, fa), (b, fb))
     )
     int_a, int_b = (
-        _whole((at,) * 3, {(i, j, i + j): t for (i, j), t in m.cup_int.items() if i + j <= m.dimension}, object)
+        _whole((at,) * 3, {(i, j, i + j): t for (i, j), t in m.cup_int.items()}, object)
         for m, at in ((a, za), (b, zb))
     )
     # (-1)^(j1 i2): the left generator's degree in b times the right one's in a
@@ -1036,10 +1052,9 @@ def transform_model(model, f2_maps, f2_invs, z_maps, z_invs):
     )
     if not manifold:
         return core
-    phi = None
-    if model.phi_hat is not None:
-        phi = core.f2(5, f2.mat_vec(f2_maps[5], model.phi_hat.vec()))
-    omega = None
-    if model.omega_pc is not None:
-        omega = core.f2(8, f2.mat_vec(f2_maps[8], model.omega_pc.vec()))
-    return ManifoldModel(core, phi_hat=phi, omega_pc=omega, label=(model.label or m.label) + "'")
+
+    def image(x):
+        return None if x is None else core.f2(x.degree, f2.mat_vec(f2_maps[x.degree], x.vec()))
+
+    label = (model.label or m.label) + "'"
+    return ManifoldModel(core, phi_hat=image(model.phi_hat), omega_pc=image(model.omega_pc), label=label)

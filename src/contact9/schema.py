@@ -165,6 +165,15 @@ def parse_complex(source) -> SimplicialComplex:
 # -- models -------------------------------------------------------------------
 
 
+def _cells(tensors: dict):
+    """(pair, x, y, value) for each cell (x, y) with a nonzero value of the
+    product tensors, by pair and then in row-major order."""
+    for pair, t in sorted(tensors.items()):
+        xs, ys = np.nonzero(t.any(axis=2))
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            yield pair, x, y, t[x, y].tolist()
+
+
 def emit_model(model) -> str:
     manifold = isinstance(model, ManifoldModel)
     m = model.cohomology if manifold else model
@@ -185,24 +194,11 @@ def emit_model(model) -> str:
     sq: dict[str, dict[str, list]] = {}
     for (k, d), mat in sorted(m.sq.items()):
         sq.setdefault(str(k), {})[str(d)] = [[int(v) for v in row] for row in mat]
-    cup2 = []
-    for (i, j), t in sorted(m.cup2.items()):
-        names_i = m.piece(i).f2_basis
-        names_j = m.piece(j).f2_basis
-        for x in range(t.shape[0]):
-            for y in range(t.shape[1]):
-                vec = [int(v) for v in t[x, y]]
-                if any(vec):
-                    cup2.append(
-                        {"degrees": [i, j], "left": names_i[x], "right": names_j[y], "value": vec}
-                    )
-    cup_z = []
-    for (i, j), t in sorted(m.cup_int.items()):
-        for x in range(t.shape[0]):
-            for y in range(t.shape[1]):
-                vec = [int(v) for v in t[x, y]]
-                if any(vec):
-                    cup_z.append({"degrees": [i, j], "left": x, "right": y, "value": vec})
+    cup2 = [
+        {"degrees": [i, j], "left": m.piece(i).f2_basis[x], "right": m.piece(j).f2_basis[y], "value": value}
+        for (i, j), x, y, value in _cells(m.cup2)
+    ]
+    cup_z = [{"degrees": [i, j], "left": x, "right": y, "value": value} for (i, j), x, y, value in _cells(m.cup_int)]
     declared_pairs = [[i, j] for (i, j) in sorted(m.cup_int)]
     doc = {
         "schema_version": SCHEMA_VERSION,

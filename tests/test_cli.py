@@ -100,6 +100,27 @@ def test_corpus_env_dir(tmp_path, monkeypatch):
     assert "Dold" not in out
 
 
+def test_directory_input_exits_six(tmp_path):
+    """A directory given as a model file is reported and exits 6; a missing
+    file is still "not found"."""
+    code, report = run(Command("validate", [str(tmp_path)]))
+    assert code == EXIT_CODES["parse_error"]
+    assert report["warnings"] == [f"cannot read input {tmp_path}: Is a directory"]
+    code, out = run_cmd("validate", str(tmp_path))
+    assert code == EXIT_CODES["parse_error"] and "cannot read input" in out
+    code, report = run(Command("validate", [str(tmp_path / "absent.json")]))
+    assert code == EXIT_CODES["parse_error"]
+    assert report["warnings"] == [f"input not found: {tmp_path / 'absent.json'}"]
+
+
+def test_corpus_directory_that_is_a_file_exits_six(tmp_path, monkeypatch):
+    document = tmp_path / "a.json"
+    document.write_text(emit_model(library("S9")))
+    monkeypatch.setenv("CONTACT9_CORPUS_DIR", str(document))
+    code, out = run_cmd("corpus")
+    assert code == EXIT_CODES["parse_error"] and "cannot read input" in out
+
+
 def test_structured_output_deterministic():
     code1, out1 = run_cmd("decide", "library:S1xCP4", "--format", "structured", "--seed", "7")
     code2, out2 = run_cmd("decide", "library:S1xCP4", "--format", "structured", "--seed", "7")

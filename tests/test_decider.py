@@ -268,6 +268,22 @@ def _classes(**classes):
     return perturb
 
 
+def _torsion_to_free(d: int, entry: int):
+    """Perturbation composing the integral map of degree d with the base change
+    that adds ``entry`` times the last (torsion) coordinate to the first (free)
+    one, and its inverse with the inverse change, so the round trip holds.
+    The map then sends a torsion generator onto a free one, which no
+    homomorphism does, and the carried Bockstein gains ``entry`` in a free row."""
+    def perturb(b, iso):
+        e, e_inv = (np.eye(b.cohomology.z_gens(d), dtype=object) for _ in range(2))
+        e[0, -1], e_inv[0, -1] = entry, -entry
+        return b, replace(
+            iso, z_maps={**iso.z_maps, d: e.dot(iso.z_maps[d])},
+            z_inv_maps={**iso.z_inv_maps, d: iso.z_inv_maps[d].dot(e_inv)},
+        )
+    return perturb
+
+
 # (source model, perturbation of the based copy and its correspondence, message)
 _MINUS_ONE = -np.eye(1, dtype=object)
 ISO_FAULTS = {
@@ -280,6 +296,7 @@ ISO_FAULTS = {
         "integral generator signature differs in degree 2"),
     "round_trip": ("Dold_5_2", _maps(z_inv_maps=(4, np.zeros((2, 2), dtype=object))),
                    "integral map in degree 4 is not invertible"),
+    "bockstein_past_int64": ("Dold_5_2", _torsion_to_free(4, 2**70), "Bockstein does not commute$"),
     "bockstein": ("Dold_5_2", _tables(beta=lambda c: _replaced(c.beta, 1, c.beta[1] + 1)),
                   "Bockstein does not commute in degree 1$"),
     "reduction": ("Dold_5_2", _tables(rho2=lambda c: _replaced(c.rho2, 4, c.rho2[4] ^ 1)),
@@ -300,6 +317,10 @@ ISO_FAULTS = {
                          "supplied obstruction coset present on only one side"),
     "omega_pc": ("M3_sum", _classes(omega_pc=lambda c: c.zero_f2(8)),
                  "supplied obstruction coset not preserved"),
+    "cup_int": ("M3_sum", _tables(cup_int=lambda c: {**c.cup_int, (2, 6): -c.cup_int[(2, 6)]}),
+                r"integral product does not commute at \(2,6\)"),
+    "cup_int_missing": ("M3_sum", _tables(cup_int=lambda c: {k: t for k, t in c.cup_int.items() if k != (2, 6)}),
+                        r"integral product tensor \(2,6\) missing on one side"),
 }
 
 

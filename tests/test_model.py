@@ -310,19 +310,58 @@ def _tables_equal_up_to_names(a, b):
         pa, pb = a.piece(d), b.piece(d)
         if (pa.z_rank, pa.z_torsion, pa.f2_dim) != (pb.z_rank, pb.z_torsion, pb.f2_dim):
             return False
-    for x, y in zip(a.rho2, b.rho2):
-        if not np.array_equal(x, y):
-            return False
-    for x, y in zip(a.beta, b.beta):
-        if not np.array_equal(x, y):
-            return False
-    if set(a.sq) != set(b.sq) or set(a.cup2) != set(b.cup2) or set(a.cup_int) != set(b.cup_int):
-        return False
-    return (
-        all(np.array_equal(a.sq[k], b.sq[k]) for k in a.sq)
-        and all(np.array_equal(a.cup2[k], b.cup2[k]) for k in a.cup2)
-        and all(np.array_equal(a.cup_int[k], b.cup_int[k]) for k in a.cup_int)
+    return next(a.differences(b), None) is None
+
+
+@pytest.mark.parametrize("family, key", [
+    ("sq", (2, 4)), ("beta", 3), ("rho2", 4), ("cup2", (1, 1)), ("cup_int", (2, 6)),
+])
+def test_differences_names_the_one_flipped_table(family, key):
+    """Flipping the parity of one entry of a based copy's table is the one
+    difference ``differences`` reports, and ``equals`` sees it."""
+    base = library("Dold_5_2").cohomology
+    copy = transform_model(base, *random_model_iso(base, np.random.default_rng(31)))
+    tables = getattr(copy, family)
+    table = np.array(tables[key])
+    table.flat[0] = 1 - table.flat[0] % 2
+    fields = dict(
+        dimension=9, pieces=copy.pieces, rho2=copy.rho2, beta=copy.beta, sq=copy.sq,
+        cup2=copy.cup2, cup_int=copy.cup_int, orientable=True, label=copy.label,
     )
+    same = CohomologyModel(**fields)
+    fields[family] = {**tables, key: table} if isinstance(tables, dict) else [
+        table if d == key else t for d, t in enumerate(tables)
+    ]
+    flipped = CohomologyModel(**fields)
+    assert list(copy.differences(flipped)) == [(family, key)]
+    assert list(flipped.differences(copy)) == [(family, key)]
+    assert copy.equals(same) and not copy.equals(flipped)
+
+
+@pytest.mark.parametrize("family", ["cup2", "cup_int"])
+def test_differences_names_a_one_sided_product_tensor(family):
+    """A product tensor declared on one side only is its own family, either way."""
+    c = library("M3_sum").cohomology
+    fields = dict(
+        dimension=9, pieces=c.pieces, rho2=c.rho2, beta=c.beta, sq=c.sq,
+        cup2=c.cup2, cup_int=c.cup_int, orientable=True,
+    )
+    fields[family] = {k: t for k, t in getattr(c, family).items() if k != (2, 6)}
+    dropped = CohomologyModel(**fields)
+    assert list(c.differences(dropped)) == [(family + " missing", (2, 6))]
+    assert list(dropped.differences(c)) == [(family + " missing", (2, 6))]
+
+
+def test_product_tensors_past_the_top_are_not_kept():
+    """A product past the top has no coordinates: a tensor given for it is
+    dropped, so the model equals its transport along identity maps."""
+    c = library("M3_sum").cohomology
+    past = {(5, 5): np.zeros((c.f2_dim(5), c.f2_dim(5), 0))}
+    x = CohomologyModel(9, c.pieces, c.rho2, c.beta, c.sq, {**c.cup2, **past}, {**c.cup_int, **past}, True)
+    assert (5, 5) not in x.cup2 and (5, 5) not in x.cup_int and x.equals(c)
+    f2_maps = {d: np.eye(c.f2_dim(d), dtype=np.uint8) for d in range(10)}
+    z_maps = {d: np.eye(c.z_gens(d), dtype=object) for d in range(10)}
+    assert transform_model(x, f2_maps, f2_maps, z_maps, z_maps).equals(x)
 
 
 def test_connected_sum_associative_up_to_relabeling():
