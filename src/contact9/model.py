@@ -115,9 +115,10 @@ def _f2_einsum(spec: str, *operands) -> np.ndarray:
 
 
 def _pull_back(left: np.ndarray, right: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The product tensor t precomposed with two linear maps, mod 2:
-    out[x, y] = t(left[:, x], right[:, y])."""
-    return _f2_einsum("qy,xqz->xyz", right, np.einsum("px,pqz->xqz", left, t, dtype=np.int64))
+    """The product tensor t precomposed with two linear maps,
+    einsum("px,qy,pqz->xyz", left, right, t) in the operands' arithmetic."""
+    p, q, z = t.shape
+    return right.T @ (left.T @ t.reshape(p, q * z)).reshape(left.shape[1], q, z)
 
 
 def _reduce_rows(a, orders: tuple, axis: int = 0) -> np.ndarray:
@@ -152,6 +153,9 @@ class CohomologyModel:
             raise ValueError("need one graded piece per degree 0..n")
         self.label = label
         self.orientable = bool(orientable)
+        self._f2_dims = tuple(p.f2_dim for p in self.pieces)
+        self._z_gens = tuple(p.z_gens for p in self.pieces)
+        self._z_orders = tuple(p.z_orders for p in self.pieces)
 
         self.rho2 = tuple(
             _freeze(np.asarray(m, dtype=np.uint8).reshape(self.f2_dim(i), self.z_gens(i)))
@@ -193,13 +197,13 @@ class CohomologyModel:
         return GradedPiece(0, (), ())
 
     def f2_dim(self, i: int) -> int:
-        return self.piece(i).f2_dim
+        return self._f2_dims[i] if 0 <= i <= self.dimension else 0
 
     def z_gens(self, i: int) -> int:
-        return self.piece(i).z_gens
+        return self._z_gens[i] if 0 <= i <= self.dimension else 0
 
     def z_orders(self, i: int) -> tuple[int, ...]:
-        return self.piece(i).z_orders
+        return self._z_orders[i] if 0 <= i <= self.dimension else ()
 
     # -- class constructors ----------------------------------------------
 
@@ -466,28 +470,33 @@ def _operation_checks(m: CohomologyModel, rep: ValidationReport):
             rep.add("sq0_identity", i, "stored Sq^0 is not the identity")
         if k > i and mat.any():
             rep.add("sq_above_degree", i, f"Sq^{k} nonzero on degree {i}")
+    # the mod-2 tables over the bases of all degrees; an absent product
+    # tensor reads as zero (``_structural_checks`` reports it).  Products of
+    # them are int64 sums of at most N^2 terms 0 or 1 over N basis elements,
+    # so they cannot wrap.
+    at = _offsets(m._f2_dims)
+    sq = _total_square(m).astype(np.int64)
+    cup = _whole((at,) * 3, {(i, j, i + j): t & 1 for (i, j), t in m.cup2.items()}, np.uint8)
+    degree = np.arange(n + 1) == np.repeat(np.arange(n + 1), np.diff(at))[:, None]
+    span = [slice(at[d], at[d + 1]) for d in range(n + 1)]
     # Sq^i x = x x: the columns of Sq^i against the diagonal of the (i, i) tensor
     for i in range(n // 2 + 1):
-        if m.f2_dim(i):
-            bad = (m.sq_matrix(i, i).T != np.einsum("xxz->xz", m.cup_tensor(i, i))).any(axis=1)
-            for _ in np.flatnonzero(bad):
-                rep.add("sq_top_is_square", i, f"Sq^{i} != cup square on basis element")
-    # Cartan formula: Sq^k (a b) = sum_s Sq^s a Sq^(k-s) b on all basis pairs
+        x, xx = span[i], span[2 * i]
+        for _ in np.flatnonzero((sq[xx, x].T != cup[x, x, xx].diagonal().T).any(axis=1)):
+            rep.add("sq_top_is_square", i, f"Sq^{i} != cup square on basis element")
+    # Cartan formula Sq(ab) = Sq(a) Sq(b), once per pair of degrees (i, j):
+    # the product pushed along the total square against the product of the
+    # squares; its residual in degree i + j + k is the formula for Sq^k
     for (i, j) in sorted(m.cup2):
-        if not (m.f2_dim(i) and m.f2_dim(j)):
+        top = min(i + j, n - i - j)  # the largest k with Sq^k on degree i + j
+        if not (m.f2_dim(i) and m.f2_dim(j) and top > 0):
             continue
-        t = m.cup_tensor(i, j)
-        ks = range(1, min(i + j, n - i - j) + 1)
-        bad = np.zeros((m.f2_dim(i), m.f2_dim(j), len(ks)), dtype=bool)
-        for k in ks:
-            lhs = _f2_einsum("zc,xyc->xyz", m.sq_matrix(k, i + j), t)
-            rhs = np.zeros_like(lhs)
-            for s in range(k + 1):
-                left, right = m.sq_matrix(s, i), m.sq_matrix(k - s, j)
-                if left.any() and right.any():
-                    rhs ^= _pull_back(left, right, m.cup_tensor(i + s, j + k - s))
-            bad[:, :, k - 1] = (lhs != rhs).any(axis=2)
-        for _x, _y, k in np.argwhere(bad):
+        x, y, xy = span[i], span[j], span[i + j]
+        z = slice(at[i + j + 1], at[i + j + top + 1])
+        # Sq^s a and Sq^t b reach the degrees up to i + s and j + t, s + t <= top
+        p, q = (slice(at[d], at[d + min(d, top) + 1]) for d in (i, j))
+        residual = (cup[x, y, xy] @ sq[z, xy].T ^ _pull_back(sq[p, x], sq[q, y], cup[p, q, z])) & 1
+        for k in (residual @ degree[z, i + j + 1:i + j + top + 1]).nonzero()[2]:
             rep.add("cartan", i + j, f"Sq^{k + 1} on product of degrees ({i},{j})")
     # beta rho2 = 0 on integral generators and rho2 beta = Sq^1 on mod-2 ones
     for i in range(n + 1):
@@ -508,23 +517,31 @@ def _ring_checks(m: CohomologyModel, rep: ValidationReport):
             bad = (m.cup_tensor(i, j) != m.cup_tensor(j, i).transpose(1, 0, 2)).any(axis=2)
             for _ in np.flatnonzero(bad):
                 rep.add("commutativity", i + j, f"mod-2 products ({i},{j}) vs ({j},{i}) differ")
-    # associativity (a b) c = a (b c) over all basis triples inside the dimension
+    # associativity (ab)c = a(bc), two contractions per triple of degrees
+    # over the product tensors, absent ones zero
+    f = m._f2_dims
+    cup = {
+        (i, j): (m.cup2[i, j] & 1).astype(np.int64) if (i, j) in m.cup2 else np.zeros((f[i], f[j], f[i + j]), np.int64)
+        for i in range(n + 1) for j in range(n + 1 - i)
+    }
+    pairs = {(i, j): t.reshape(f[i] * f[j], f[i + j]) for (i, j), t in cup.items()}
+    rows = {(i, j): t.reshape(f[i], f[j] * f[i + j]) for (i, j), t in cup.items()}
     for i in range(1, n + 1):
         for j in range(1, n + 1 - i):
             for k in range(1, n + 1 - i - j):
-                if not (m.f2_dim(i) and m.f2_dim(j) and m.f2_dim(k)):
+                if not (f[i] and f[j] and f[k] and f[i + j + k]):
                     continue
-                left = _f2_einsum("xyp,pzq->xyzq", m.cup_tensor(i, j), m.cup_tensor(i + j, k))
-                right = _f2_einsum("yzp,xpq->xyzq", m.cup_tensor(j, k), m.cup_tensor(i, j + k))
-                for _ in np.flatnonzero((left != right).any(axis=3)):
+                left = (pairs[i, j] @ rows[i + j, k]).reshape(f[i], f[j] * f[k], -1)
+                residual = (left ^ pairs[j, k] @ cup[i, j + k]) & 1
+                for _ in np.flatnonzero(residual.any(axis=2)):
                     rep.add("associativity", i + j + k, f"degrees ({i},{j},{k})")
     # integral tensors reduce to the mod-2 tensors
     for (i, j), t in sorted(m.cup_int.items()):
         if (i, j) not in m.cup2:
             continue
-        lhs = _f2_einsum("zc,xyc->xyz", m.rho2[i + j], (t & 1).astype(np.int64))
-        rhs = _pull_back(m.rho2[i], m.rho2[j], m.cup_tensor(i, j))
-        for x, y in np.argwhere((lhs != rhs).any(axis=2)):
+        lhs = (t & 1).astype(np.int64) @ m.rho2[i + j].T
+        rhs = _pull_back(m.rho2[i].astype(np.int64), m.rho2[j], m.cup2[i, j])
+        for x, y in zip(*((lhs ^ rhs) & 1).any(axis=2).nonzero()):
             rep.add("integral_product_reduction", i + j, f"pair ({i},{j}) generators ({x},{y})")
 
 
@@ -581,13 +598,6 @@ def _nine_manifold_checks(m: CohomologyModel, rep: ValidationReport):
 # -- builders ---------------------------------------------------------------
 
 
-def _carry(t: np.ndarray, left, right, out) -> np.ndarray:
-    """A product tensor pulled back along two maps and pushed along a third,
-    einsum("ax,by,abz,Zz->xyZ", left, right, t, out) in the operands' arithmetic."""
-    a, b, z = t.shape
-    return right.T @ (left.T @ t.reshape(a, b * z)).reshape(left.shape[1], b, z) @ out.T
-
-
 def _push(m: CohomologyModel, F, G, Z, H, units: bool = True):
     """Every operation tensor of m carried along per-degree linear maps.
 
@@ -605,8 +615,8 @@ def _push(m: CohomologyModel, F, G, Z, H, units: bool = True):
     beta = [Z[d + 1].dot(m.beta[d].astype(object)).dot(G[d].astype(object)) for d in range(n)]
     beta.append(np.zeros((0, G[n].shape[1]), dtype=object))
     sq = {(k, d): _f2_einsum("ab,bc,cd->ad", F[d + k], t, G[d]) for (k, d), t in m.sq.items()}
-    cup2 = {(i, j): _carry(t, G[i], G[j], F[i + j]) & 1 for (i, j), t in m.cup2.items() if units or (i and j)}
-    cup_int = {(i, j): _carry(t, H[i], H[j], Z[i + j]) for (i, j), t in m.cup_int.items() if units or (i and j)}
+    cup2 = {(i, j): _pull_back(G[i], G[j], t) @ F[i + j].T & 1 for (i, j), t in m.cup2.items() if units or (i and j)}
+    cup_int = {(i, j): _pull_back(H[i], H[j], t) @ Z[i + j].T for (i, j), t in m.cup_int.items() if units or (i and j)}
     return rho2, beta, sq, cup2, cup_int
 
 
@@ -628,11 +638,9 @@ def _whole(offsets, blocks: dict, dtype) -> np.ndarray:
 def _total_square(m: CohomologyModel) -> np.ndarray:
     """The total square Sq = Sq^0 + Sq^1 + ... as one matrix over the mod-2
     bases of all degrees, in order of degree."""
-    n = m.dimension
-    at = _offsets([m.f2_dim(d) for d in range(n + 1)])
-    return _whole((at, at), {
-        (d + k, d): m.sq_matrix(k, d) for d in range(n + 1) for k in range(min(d, n - d) + 1)
-    }, np.uint8)
+    at = _offsets(m._f2_dims)
+    squares = [(0, d) for d in range(m.dimension + 1)] + [(k, d) for k, d in m.sq if 0 < k <= d]
+    return _whole((at, at), {(d + k, d): m.sq_matrix(k, d) for k, d in squares}, np.uint8)
 
 
 def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> CohomologyModel:

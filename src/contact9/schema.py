@@ -237,6 +237,11 @@ def parse_model(source):
     if n < 0:
         raise SchemaError("dimension", "must be >= 0")
     pieces = [_piece(g, d) for d, g in enumerate(graded)]
+    # Sizes before any table is read: z_rank <= f2_dim, since H^d(X; Z) (x) Z/2
+    # lies in H^d(X; Z/2); every table is then bounded by the document's bases.
+    for d, p in enumerate(pieces):
+        if not 0 <= p.z_rank <= p.f2_dim:
+            raise SchemaError(f"graded[{d}].z_rank", f"must be in 0..f2_dim = {p.f2_dim}")
     f = [p.f2_dim for p in pieces] + [0]
     z = [p.z_gens for p in pieces] + [0]
 
@@ -310,11 +315,6 @@ def parse_model(source):
     if type(label) is not str:
         raise SchemaError("label", "must be a string")
 
-    # Sizes before allocation: z_rank <= f2_dim, since H^d(X; Z) (x) Z/2 lies
-    # in H^d(X; Z/2); every table is then bounded by the document's bases.
-    for d, p in enumerate(pieces):
-        if not 0 <= p.z_rank <= p.f2_dim:
-            raise SchemaError(f"graded[{d}].z_rank", f"must be in 0..f2_dim = {p.f2_dim}")
     core = CohomologyModel(
         dimension=n,
         pieces=pieces,

@@ -68,9 +68,9 @@ def regenerate(path: Path = GOLDEN):
     path.write_text(f'{{"models": [\n{lines}\n]}}\n')
 
 
-def test_builders_match_golden():
+def test_builders_match_golden(built_models):
     golden = json.loads(GOLDEN.read_text())["models"]
-    got = [_record(name, model) for name, model in _built()]
+    got = [_record(name, model) for name, model in built_models]
     assert [g["name"] for g in got] == [g["name"] for g in golden]
     assert len(got) == 304
     mismatched = [(g["name"], g, want) for g, want in zip(got, golden) if g != want]

@@ -10,7 +10,7 @@ from contact9.library import base_models, library
 from contact9.model import (
     CohomologyModel, GradedPiece, ManifoldModel, NotClosedManifoldError,
     build_product, connected_sum, from_simplicial, random_model_iso,
-    transform_model, validate,
+    Violation, transform_model, validate,
 )
 from contact9.simplicial import SimplicialComplex
 
@@ -39,8 +39,11 @@ def test_validate_dold_skips_spinc_block():
 
 
 def _with_cup2(model: CohomologyModel, pair, tensor) -> CohomologyModel:
-    cup2 = {k: np.array(v) for k, v in model.cup2.items()}
-    cup2[pair] = tensor
+    """A copy of the model with the product tensor of one pair replaced, or
+    left out if ``tensor`` is None."""
+    cup2 = {k: np.array(v) for k, v in model.cup2.items() if k != pair}
+    if tensor is not None:
+        cup2[pair] = tensor
     return CohomologyModel(
         dimension=model.dimension,
         pieces=model.pieces,
@@ -71,6 +74,16 @@ def test_validate_detects_zeroed_product_tensor():
     assert not rep.ok
     kinds = {v.check for v in rep.violations}
     assert kinds & {"associativity", "commutativity", "integral_product_reduction", "poincare_pairing"}
+
+
+@pytest.mark.parametrize("pair", [(2, 4), (2, 2), (4, 5)])
+def test_validate_reports_a_missing_product_tensor(pair):
+    """A directly built model may leave out a product tensor between nonzero
+    groups; validation reads it as zero and reports it, never raising."""
+    broken = _with_cup2(library("S1xCP4").cohomology, pair, None)
+    rep = validate(broken)
+    i, j = pair
+    assert rep.violations[0] == Violation("product_tensor_missing", i, f"mod-2 tensor ({i},{j}) absent")
 
 
 def test_build_product_unit():

@@ -223,11 +223,14 @@ def test_parse_checks_each_value_once(path, value, where):
 @pytest.mark.parametrize("z_rank", [-1, 2, 2**70])
 def test_parse_checks_sizes_before_allocating(z_rank):
     """A free rank is at most the mod-2 dimension of its degree (H^d(X; Z)
-    reduced mod 2 lies in H^d(X; Z/2)), so no table outgrows the document."""
-    doc = json.loads(emit_model(library("S9")))
-    doc["graded"][4]["z_rank"] = z_rank
-    with pytest.raises(SchemaError, match=r"graded\[4\]\.z_rank: must be in 0\.\.f2_dim = 0"):
-        parse_model(json.dumps(doc))
+    reduced mod 2 lies in H^d(X; Z/2)), so no table outgrows the document.
+    The rank is checked before the tables are read: M1_surgered declares the
+    reduction and Bockstein matrices around degree 6."""
+    for name, degree in [("S9", 4), ("M1_surgered", 6)]:
+        doc = json.loads(emit_model(library(name)))
+        doc["graded"][degree]["z_rank"] = z_rank
+        with pytest.raises(SchemaError, match=rf"graded\[{degree}\]\.z_rank: must be in 0\.\.f2_dim = 0"):
+            parse_model(json.dumps(doc))
 
 
 def test_parse_checks_torsion_coefficients():
