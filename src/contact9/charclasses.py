@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import f2
-from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass, _cohomology, _reduce_rows, _total_square
+from .model import CohomologyModel, F2Class, ManifoldModel, Violation, ZClass, _cohomology, _reduce_rows
 
 __all__ = [
     "WuClasses", "SWClasses", "CosetH8", "SpincData",
@@ -176,7 +176,7 @@ def sw_from_wu(m: CohomologyModel, wu: dict) -> dict:
     w = Sq(v), with the total square: w_k = sum_i Sq^i(v_{k-i})."""
     n = m.dimension
     v = np.concatenate([m.f2(0, [1]).vec()] + [wu[k].vec() for k in range(1, n + 1)])
-    w = np.split(f2.mat_vec(_total_square(m), v), np.cumsum([m.f2_dim(d) for d in range(n)]))
+    w = np.split(f2.mat_vec(m.total_square, v), m.offsets[1:-1])
     return {k: m.f2(k, w[k]) for k in range(1, n + 1)}
 
 
@@ -264,7 +264,7 @@ def reduction_image_subspace(m: CohomologyModel, degree: int) -> f2.Subspace:
 
 def bockstein_kernel_subspace(m: CohomologyModel, degree: int) -> f2.Subspace:
     """Kernel of the mod-2 Bockstein in the given degree."""
-    nonzero = _reduce_rows(m.beta[degree], m.z_orders(degree + 1)) != 0
+    nonzero = m.beta[degree] != 0
     return f2.Subspace(list(f2.nullspace(nonzero.astype(np.uint8))), ambient_dim=m.f2_dim(degree))
 
 

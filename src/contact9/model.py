@@ -16,6 +16,7 @@ a witness.  Everything is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -161,10 +162,12 @@ class CohomologyModel:
             _freeze(np.asarray(m, dtype=np.uint8).reshape(self.f2_dim(i), self.z_gens(i)))
             for i, m in enumerate(rho2)
         )
+        # Bocksteins are kept reduced modulo the orders of their targets, like
+        # the integral products below
         bs = []
         for i, m in enumerate(beta):
-            tgt = self.z_gens(i + 1) if i + 1 <= self.dimension else 0
-            bs.append(_freeze(np.asarray(m, dtype=np.int64).reshape(tgt, self.f2_dim(i))))
+            src = np.asarray(m, dtype=object).reshape(self.z_gens(i + 1), self.f2_dim(i))
+            bs.append(_freeze(_reduce_rows(src, self.z_orders(i + 1)).astype(np.int64)))
         if len(bs) != self.dimension + 1:
             raise ValueError("need one Bockstein matrix per degree")
         self.beta = tuple(bs)
@@ -234,32 +237,52 @@ class CohomologyModel:
         d = self.z_gens(i)
         return [self.z(i, [1 if k == j else 0 for k in range(d)]) for j in range(d)]
 
-    # -- operation tensors --------------------------------------------------
+    # -- the mod-2 tables over the bases of all degrees -------------------------
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each degree starts in the mod-2 basis of all degrees, in
+        order of degree, and its end."""
+        return _freeze(_offsets(self._f2_dims))
+
+    def _span(self, d: int) -> slice:
+        """Degree d in the basis of all degrees; empty outside 0..n."""
+        at = self.offsets
+        return slice(at[d], at[d + 1]) if 0 <= d <= self.dimension else slice(0, 0)
+
+    @cached_property
+    def total_square(self) -> np.ndarray:
+        """The total square Sq = Sq^0 + Sq^1 + ... as one matrix: Sq^0 is the
+        identity whatever is stored, Sq^k is read for 0 < k <= d, and every
+        other block is zero."""
+        blocks = {(d + k, d): m & 1 for (k, d), m in self.sq.items() if 0 < k <= d}
+        sq = _whole((self.offsets,) * 2, blocks, np.uint8)
+        np.fill_diagonal(sq, 1)
+        return _freeze(sq)
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """The mod-2 product table, indexed [left, right, product]; an absent
+        tensor reads as zero."""
+        blocks = {(i, j, i + j): t & 1 for (i, j), t in self.cup2.items()}
+        return _freeze(_whole((self.offsets,) * 3, blocks, np.uint8))
 
     def sq_matrix(self, k: int, i: int) -> np.ndarray:
-        """Matrix of Sq^k from degree i to degree i + k.
-
-        Sq^0 is the identity whatever is stored; k > i, i + k > n and an
-        absent entry give the zero matrix.
-        """
-        if k == 0:
-            return f2.eye(self.f2_dim(i))
-        m = self.sq.get((k, i)) if k <= i and i + k <= self.dimension else None
-        return f2.zeros(self.f2_dim(i + k), self.f2_dim(i)) if m is None else m & 1
+        """Matrix of Sq^k from degree i to degree i + k, a read-only block of
+        the total square: Sq^0 is the identity; k > i, i + k > n and an absent entry
+        give the zero matrix."""
+        return self.total_square[self._span(i + k), self._span(i)]
 
     def cup_tensor(self, i: int, j: int) -> np.ndarray:
-        """Mod-2 product tensor of degrees (i, j), indexed [left, right, product].
+        """Mod-2 product tensor of degrees (i, j), indexed [left, right, product],
+        a read-only block of the product table.
 
         i + j > n or a zero dimension gives the zero tensor; a missing tensor
         between nonzero dimensions raises ``KeyError``.
         """
-        t = self.cup2.get((i, j))
-        if t is not None:
-            return t & 1
-        shape = (self.f2_dim(i), self.f2_dim(j), self.f2_dim(i + j))
-        if all(shape):
+        if (i, j) not in self.cup2 and self.f2_dim(i) and self.f2_dim(j) and self.f2_dim(i + j):
             raise KeyError(f"mod-2 product tensor ({i},{j}) missing")
-        return np.zeros(shape, dtype=np.uint8)
+        return self.products[self._span(i), self._span(j), self._span(i + j)]
 
     # -- operations -------------------------------------------------------
 
@@ -341,7 +364,7 @@ class CohomologyModel:
 
         for d in range(self.dimension + 1):
             yield from tables("sq", d)
-            if not np.array_equal(*(_reduce_rows(m.beta[d], m.z_orders(d + 1)) for m in (self, other))):
+            if not np.array_equal(self.beta[d], other.beta[d]):
                 yield "beta", d
             if not np.array_equal(self.rho2[d], other.rho2[d]):
                 yield "rho2", d
@@ -371,10 +394,6 @@ class ManifoldModel:
     def __post_init__(self):
         if self.cohomology.dimension != 9:
             raise ValueError("manifold models are 9-dimensional")
-
-    @property
-    def m(self) -> CohomologyModel:
-        return self.cohomology
 
     def __repr__(self):
         return f"ManifoldModel({self.label or self.cohomology.label or 'unnamed'})"
@@ -426,12 +445,11 @@ def _structural_checks(m: CohomologyModel, rep: ValidationReport):
         if not beta.any():
             continue
         orders = m.z_orders(i + 1)
-        b = _reduce_rows(beta, orders)
-        for c, j in zip(*np.nonzero(_reduce_rows(2 * b, orders) != 0)):
+        for c, j in zip(*np.nonzero(_reduce_rows(2 * beta.astype(object), orders) != 0)):
             if orders[c] == 0:
                 rep.add("bockstein_torsion_valued", i, f"beta hits free generator {c}")
             else:
-                rep.add("bockstein_two_torsion", i, f"beta value {b[c, j]} not killed by 2 in Z/{orders[c]}")
+                rep.add("bockstein_two_torsion", i, f"beta value {beta[c, j]} not killed by 2 in Z/{orders[c]}")
     if m.piece(0).z_rank != 1 or m.piece(0).z_torsion or m.f2_dim(0) != 1:
         rep.add("unit_degree", 0, "H^0 must be Z with one mod-2 generator")
     else:
@@ -444,22 +462,18 @@ def _structural_checks(m: CohomologyModel, rep: ValidationReport):
     if m.orientable and m.f2_dim(n) == 1 and m.piece(n).z_rank == 1 and not m.piece(n).z_torsion:
         if not np.array_equal(m.rho2[n], np.array([[1]], dtype=np.uint8)):
             rep.add("orientation_reduction", n, "mod-2 reduction of the orientation class is not the mod-2 fundamental class")
-    # unit action: the unit's slice of every product tensor with it is the identity
-    if m.f2_dim(0) == 1:
-        for j in range(n + 1):
-            eye = f2.eye(m.f2_dim(j))
-            bad = np.zeros((m.f2_dim(j), 2), dtype=bool)
-            if (0, j) in m.cup2:
-                bad[:, 0] = (m.cup_tensor(0, j)[0] != eye).any(axis=1)
-            if (j, 0) in m.cup2:
-                bad[:, 1] = (m.cup_tensor(j, 0)[:, 0] != eye).any(axis=1)
-            for _e, side in np.argwhere(bad):
-                rep.add("unit_action", j, f"unit does not act as identity on the {('left', 'right')[side]}")
-    # required tensors present
+    # required tensors present; every check below reads an absent one as zero
     for i in range(n + 1):
         for j in range(n + 1 - i):
             if m.f2_dim(i) and m.f2_dim(j) and m.f2_dim(i + j) and (i, j) not in m.cup2:
                 rep.add("product_tensor_missing", i, f"mod-2 tensor ({i},{j}) absent")
+    # unit action: the unit's slices of the product table are the identity
+    if m.f2_dim(0) == 1:
+        eye = f2.eye(len(m.products))
+        bad = np.stack([(m.products[0] != eye).any(axis=1), (m.products[:, 0] != eye).any(axis=1)], axis=1)
+        degree = _degrees(m.offsets)
+        for e, side in np.argwhere(bad):
+            rep.add("unit_action", int(degree[e]), f"unit does not act as identity on the {('left', 'right')[side]}")
 
 
 def _operation_checks(m: CohomologyModel, rep: ValidationReport):
@@ -470,15 +484,12 @@ def _operation_checks(m: CohomologyModel, rep: ValidationReport):
             rep.add("sq0_identity", i, "stored Sq^0 is not the identity")
         if k > i and mat.any():
             rep.add("sq_above_degree", i, f"Sq^{k} nonzero on degree {i}")
-    # the mod-2 tables over the bases of all degrees; an absent product
-    # tensor reads as zero (``_structural_checks`` reports it).  Products of
-    # them are int64 sums of at most N^2 terms 0 or 1 over N basis elements,
-    # so they cannot wrap.
-    at = _offsets(m._f2_dims)
-    sq = _total_square(m).astype(np.int64)
-    cup = _whole((at,) * 3, {(i, j, i + j): t & 1 for (i, j), t in m.cup2.items()}, np.uint8)
-    degree = np.arange(n + 1) == np.repeat(np.arange(n + 1), np.diff(at))[:, None]
-    span = [slice(at[d], at[d + 1]) for d in range(n + 1)]
+    # Products of the mod-2 tables are int64 sums of at most N^2 terms 0 or 1
+    # over N basis elements, so they cannot wrap.
+    at, cup = m.offsets, m.products
+    sq = m.total_square.astype(np.int64)
+    degree = np.arange(n + 1) == _degrees(at)[:, None]
+    span = [m._span(d) for d in range(n + 1)]
     # Sq^i x = x x: the columns of Sq^i against the diagonal of the (i, i) tensor
     for i in range(n // 2 + 1):
         x, xx = span[i], span[2 * i]
@@ -500,47 +511,48 @@ def _operation_checks(m: CohomologyModel, rep: ValidationReport):
             rep.add("cartan", i + j, f"Sq^{k + 1} on product of degrees ({i},{j})")
     # beta rho2 = 0 on integral generators and rho2 beta = Sq^1 on mod-2 ones
     for i in range(n + 1):
-        beta = _reduce_rows(m.beta[i], m.z_orders(i + 1))
-        beta_rho2 = _reduce_rows(beta.dot((m.rho2[i] & 1).astype(object)), m.z_orders(i + 1))
+        beta_rho2 = _reduce_rows(m.beta[i].astype(object).dot((m.rho2[i] & 1).astype(object)), m.z_orders(i + 1))
         for _ in np.flatnonzero((beta_rho2 != 0).any(axis=0)):
             rep.add("beta_rho2", i, "beta of an integral reduction is nonzero")
         if i < n:
-            lhs = _f2_einsum("rc,cj->rj", m.rho2[i + 1], (beta & 1).astype(np.int64))
+            lhs = _f2_einsum("rc,cj->rj", m.rho2[i + 1], m.beta[i] & 1)
             for _ in np.flatnonzero((lhs != m.sq_matrix(1, i)).any(axis=0)):
                 rep.add("rho2_beta_sq1", i, "reduction of the Bockstein differs from Sq^1")
 
 
 def _ring_checks(m: CohomologyModel, rep: ValidationReport):
     n = m.dimension
-    for (i, j) in sorted(m.cup2):
-        if i <= j and (j, i) in m.cup2:
-            bad = (m.cup_tensor(i, j) != m.cup_tensor(j, i).transpose(1, 0, 2)).any(axis=2)
-            for _ in np.flatnonzero(bad):
-                rep.add("commutativity", i + j, f"mod-2 products ({i},{j}) vs ({j},{i}) differ")
+    cup, f = m.products, m._f2_dims
+    # commutativity: the table against its transpose, differences counted
+    # per pair of degrees i <= j
+    degree = (np.arange(n + 1) == _degrees(m.offsets)[:, None]).astype(np.int64)
+    differ = degree.T @ (cup != cup.transpose(1, 0, 2)).any(axis=2) @ degree
+    for i, j in zip(*np.triu(differ).nonzero()):
+        for _ in range(differ[i, j]):
+            rep.add("commutativity", int(i + j), f"mod-2 products ({i},{j}) vs ({j},{i}) differ")
+
+    span = [m._span(d) for d in range(n + 1)]
+
+    @cache
+    def table(i: int, j: int) -> np.ndarray:
+        """The (i, j) block of the product table, cast to int64 once."""
+        return cup[span[i], span[j], span[i + j]].astype(np.int64)
+
     # associativity (ab)c = a(bc), two contractions per triple of degrees
-    # over the product tensors, absent ones zero
-    f = m._f2_dims
-    cup = {
-        (i, j): (m.cup2[i, j] & 1).astype(np.int64) if (i, j) in m.cup2 else np.zeros((f[i], f[j], f[i + j]), np.int64)
-        for i in range(n + 1) for j in range(n + 1 - i)
-    }
-    pairs = {(i, j): t.reshape(f[i] * f[j], f[i + j]) for (i, j), t in cup.items()}
-    rows = {(i, j): t.reshape(f[i], f[j] * f[i + j]) for (i, j), t in cup.items()}
     for i in range(1, n + 1):
         for j in range(1, n + 1 - i):
             for k in range(1, n + 1 - i - j):
                 if not (f[i] and f[j] and f[k] and f[i + j + k]):
                     continue
-                left = (pairs[i, j] @ rows[i + j, k]).reshape(f[i], f[j] * f[k], -1)
-                residual = (left ^ pairs[j, k] @ cup[i, j + k]) & 1
+                ab_c = table(i, j).reshape(f[i] * f[j], -1) @ table(i + j, k).reshape(-1, f[k] * f[i + j + k])
+                a_bc = table(j, k).reshape(f[j] * f[k], -1) @ table(i, j + k)
+                residual = (ab_c.reshape(f[i], f[j] * f[k], -1) ^ a_bc) & 1
                 for _ in np.flatnonzero(residual.any(axis=2)):
                     rep.add("associativity", i + j + k, f"degrees ({i},{j},{k})")
     # integral tensors reduce to the mod-2 tensors
     for (i, j), t in sorted(m.cup_int.items()):
-        if (i, j) not in m.cup2:
-            continue
         lhs = (t & 1).astype(np.int64) @ m.rho2[i + j].T
-        rhs = _pull_back(m.rho2[i].astype(np.int64), m.rho2[j], m.cup2[i, j])
+        rhs = _pull_back(m.rho2[i].astype(np.int64), m.rho2[j], cup[span[i], span[j], span[i + j]])
         for x, y in zip(*((lhs ^ rhs) & 1).any(axis=2).nonzero()):
             rep.add("integral_product_reduction", i + j, f"pair ({i},{j}) generators ({x},{y})")
 
@@ -552,14 +564,7 @@ def _pairing_checks(m: CohomologyModel, rep: ValidationReport):
     for i in range(n + 1):
         if m.f2_dim(i) != m.f2_dim(n - i):
             rep.add("poincare_pairing", i, f"mod-2 dimensions {m.f2_dim(i)} vs {m.f2_dim(n - i)} differ")
-            continue
-        if m.f2_dim(i) == 0:
-            continue
-        if (i, n - i) not in m.cup2:
-            rep.add("poincare_pairing", i, "pairing tensor missing")
-            continue
-        mat = m.pairing_matrix(i)
-        if f2.rank(mat) != m.f2_dim(i):
+        elif m.f2_dim(i) and f2.rank(m.products[m._span(i), m._span(n - i), -1]) != m.f2_dim(i):
             rep.add("poincare_pairing", i, "mod-2 intersection pairing is degenerate")
 
 
@@ -625,6 +630,12 @@ def _offsets(sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
 
+def _degrees(offsets) -> np.ndarray:
+    """The degree of each element of a basis of all degrees whose degrees
+    start at ``offsets``."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
 def _whole(offsets, blocks: dict, dtype) -> np.ndarray:
     """A graded table as one array over the bases of all degrees: the block
     ``blocks[(d_1, d_2, ...)]`` sits at degree d_k of axis k, whose degrees
@@ -635,20 +646,13 @@ def _whole(offsets, blocks: dict, dtype) -> np.ndarray:
     return out
 
 
-def _total_square(m: CohomologyModel) -> np.ndarray:
-    """The total square Sq = Sq^0 + Sq^1 + ... as one matrix over the mod-2
-    bases of all degrees, in order of degree."""
-    at = _offsets(m._f2_dims)
-    squares = [(0, d) for d in range(m.dimension + 1)] + [(k, d) for k, d in m.sq if 0 < k <= d]
-    return _whole((at, at), {(d + k, d): m.sq_matrix(k, d) for k, d in squares}, np.uint8)
-
-
 def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> CohomologyModel:
     """Graded tensor product of models; requires the second factor torsion-free
     so that the integral cross-product map is a ring isomorphism in every degree.
 
     Each table family of a factor is laid out as one array over its bases of
-    all degrees, and the product's table is the Kronecker product of the two
+    all degrees (the mod-2 ones are the factor's ``total_square`` and
+    ``products``), and the product's table is the Kronecker product of the two
     factors' arrays: its entry at the pairs (u1, v1), (u2, v2), ... of basis
     elements is ta[u1, u2, ...] * tb[v1, v2, ...].  The product basis is the
     pairs (u, v) in Kronecker (u-major) order stably sorted by total degree:
@@ -664,17 +668,14 @@ def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> Co
     if any(b.piece(j).z_torsion for j in range(b.dimension + 1)):
         raise ValueError("second tensor factor must be torsion-free")
     n = a.dimension + b.dimension
-    fa, fb, za, zb = (
-        _offsets([size(d) for d in range(m.dimension + 1)])
-        for m, size in ((a, a.f2_dim), (b, b.f2_dim), (a, a.z_gens), (b, b.z_gens))
-    )
+    fa, fb, za, zb = a.offsets, b.offsets, _offsets(a._z_gens), _offsets(b._z_gens)
     # a pair is as free as its first generator
     orders_a = np.array([o for i in range(a.dimension + 1) for o in a.z_orders(i)], dtype=np.int64)
 
     def basis(at_a, at_b, orders=None):
         """The product basis of each degree as the index arrays (u, v) of its
         pairs in the factors' bases."""
-        deg_a, deg_b = (np.repeat(np.arange(len(at) - 1), np.diff(at)) for at in (at_a, at_b))
+        deg_a, deg_b = _degrees(at_a), _degrees(at_b)
         total = np.add.outer(deg_a, deg_b).ravel()
         perm = np.lexsort((total,) if orders is None else (np.repeat(orders, len(deg_b)), total))
         cuts = np.cumsum(np.bincount(total, minlength=n + 1))[:-1]
@@ -707,19 +708,12 @@ def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> Co
     # (second factor torsion-free, so its reduction is invertible)
     beta_a = _whole((za, fa), {(d + 1, d): a.beta[d] for d in range(a.dimension)}, np.int64)
     beta_b = _whole((zb, fb), {(j, j): f2.inverse(b.rho2[j]) for j in range(b.dimension + 1) if b.f2_dim(j)}, np.int64)
-    sq_a, sq_b = _total_square(a), _total_square(b)
-    cup2_a, cup2_b = (
-        _whole((at,) * 3, {
-            (i, j, i + j): m.cup_tensor(i, j) for i in range(m.dimension + 1) for j in range(m.dimension + 1 - i)
-        }, np.uint8)
-        for m, at in ((a, fa), (b, fb))
-    )
     int_a, int_b = (
         _whole((at,) * 3, {(i, j, i + j): t for (i, j), t in m.cup_int.items()}, object)
         for m, at in ((a, za), (b, zb))
     )
     # (-1)^(j1 i2): the left generator's degree in b times the right one's in a
-    odd_b, odd_a = (np.repeat(np.arange(len(at) - 1) % 2, np.diff(at)) for at in (zb, za))
+    odd_b, odd_a = _degrees(zb) % 2, _degrees(za) % 2
 
     def products(B):
         """The degree pairs (i, j) whose product block is not empty in basis B."""
@@ -730,8 +724,11 @@ def _tensor_model(a: CohomologyModel, b: CohomologyModel, label: str = "") -> Co
         pieces=pieces,
         rho2=[block(rho2_a, rho2_b, F[d], Z[d]) for d in range(n + 1)],
         beta=[block(beta_a, beta_b, Z[d + 1], F[d]) for d in range(n)] + [np.zeros((0, len(F[n][0])), dtype=np.int64)],
-        sq={(k, d): block(sq_a, sq_b, F[d + k], F[d]) for d in range(n + 1) for k in range(1, min(d, n - d) + 1)},
-        cup2={(i, j): block(cup2_a, cup2_b, F[i], F[j], F[i + j]) for i, j in products(F)},
+        sq={
+            (k, d): block(a.total_square, b.total_square, F[d + k], F[d])
+            for d in range(n + 1) for k in range(1, min(d, n - d) + 1)
+        },
+        cup2={(i, j): block(a.products, b.products, F[i], F[j], F[i + j]) for i, j in products(F)},
         cup_int={
             (i, j): block(int_a, int_b, Z[i], Z[j], Z[i + j]) * (1 - 2 * np.outer(odd_b[Z[i][1]], odd_a[Z[j][0]]))[..., None]
             for i, j in products(Z)
@@ -1054,8 +1051,7 @@ def transform_model(model, f2_maps, f2_invs, z_maps, z_invs):
     m = model.cohomology if manifold else model
     rho2, beta, sq, cup2, cup_int = _push(m, f2_maps, f2_invs, z_maps, z_invs)
     core = CohomologyModel(
-        dimension=m.dimension, pieces=m.pieces, rho2=rho2,
-        beta=[_reduce_rows(x, m.z_orders(d + 1)) for d, x in enumerate(beta)],
+        dimension=m.dimension, pieces=m.pieces, rho2=rho2, beta=beta,
         sq=sq, cup2=cup2, cup_int=cup_int, orientable=m.orientable, label=m.label + "'",
     )
     if not manifold:

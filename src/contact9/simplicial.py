@@ -125,9 +125,6 @@ class Cochain:
                 vals[s] = c
         self.values = vals
 
-    def __call__(self, simplex) -> int:
-        return self.values.get(tuple(simplex), 0)
-
     def same_ring(self, other: "Cochain") -> bool:
         return self.complex is other.complex and self.modulus == other.modulus
 
@@ -138,12 +135,6 @@ class Cochain:
         for s, c in other.values.items():
             vals[s] = vals.get(s, 0) + c
         return Cochain(self.complex, self.degree, self.modulus, vals)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(self.complex, self.degree, self.modulus, {s: -c for s, c in self.values.items()})
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
 
     def scale(self, k: int) -> "Cochain":
         return Cochain(self.complex, self.degree, self.modulus, {s: k * c for s, c in self.values.items()})

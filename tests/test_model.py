@@ -1,8 +1,11 @@
 """Model validation, product/sum builders, and the simplicial bridge."""
 
+import json
+
 import numpy as np
 import pytest
 
+from contact9 import model as model_module
 from contact9.charclasses import sw_classes, wu_classes
 from contact9.complexes import cp2_9, rp2_6, sphere
 from contact9.decider import GradedIso, homotopy_invariance_check
@@ -12,6 +15,7 @@ from contact9.model import (
     build_product, connected_sum, from_simplicial, random_model_iso,
     Violation, transform_model, validate,
 )
+from contact9.schema import emit_model, parse_model
 from contact9.simplicial import SimplicialComplex
 
 
@@ -173,6 +177,21 @@ def test_connected_sum_of_cohomology_models_in_dimension_four():
     assert wu_classes(s2xs2).v2.is_zero()  # even intersection form: spin
 
 
+def test_validate_multiplies_through_an_empty_degree():
+    """S1xS8 # S2xS7 # S4xS5 has no classes in degrees 3 and 6, so the
+    associativity of the degrees (1, 2, 4) passes through an empty product
+    group; the model validates."""
+    from contact9.library import monomial_model
+
+    def s(d):
+        return monomial_model([("x", d, 2)], {"x": [(1,)]}, f"S{d}")
+
+    s1s8, s2s7, s4s5 = (build_product(s(d), s(9 - d)) for d in (1, 2, 4))
+    m = connected_sum(connected_sum(s1s8, s2s7), s4s5)
+    assert [m.f2_dim(d) for d in range(10)] == [1, 1, 1, 0, 1, 1, 0, 1, 1, 1]
+    assert validate(m).ok
+
+
 def test_connected_sum_rejects_mismatched_summands():
     blocks = base_models()
     with pytest.raises(TypeError, match="two manifold models or two cohomology models"):
@@ -291,6 +310,61 @@ def test_validate_bockstein_values_in_row_major_order():
         ("bockstein_two_torsion", 1, "beta value 1 not killed by 2 in Z/4"),
         ("bockstein_two_torsion", 1, "beta value 1 not killed by 2 in Z/8"),
     ]
+
+
+def test_validation_lays_out_each_table_once(monkeypatch):
+    """Validating a freshly parsed model and deriving its Stiefel-Whitney
+    classes from the Wu formula lay out its total square and its product
+    table once each; the blocks read from them are read-only."""
+    m = parse_model(emit_model(library("S1xCP4")))
+    layouts = []
+    whole = model_module._whole
+    monkeypatch.setattr(model_module, "_whole", lambda offsets, *rest: layouts.append(len(offsets)) or whole(offsets, *rest))
+    assert validate(m).ok
+    sw_classes(m)
+    assert sorted(layouts) == [2, 3]
+    c = m.cohomology
+    for table in (c.offsets, c.total_square, c.products, c.sq_matrix(2, 2), c.cup_tensor(1, 2), c.pairing_matrix(4)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+
+
+def _torsion_entry(m: CohomologyModel, value: int):
+    """(degree, row, column) of the first Bockstein entry ``value`` in a row
+    of a Z/2 generator."""
+    for d, beta in enumerate(m.beta):
+        orders = m.z_orders(d + 1)
+        for r, c in zip(*np.nonzero(beta == value)):
+            if orders[r] == 2:
+                return d, int(r), int(c)
+    raise AssertionError("no such entry")
+
+
+def test_bocksteins_are_stored_reduced():
+    """A Bockstein entry 3 in the row of a Z/2 generator parses to 1: the
+    model keeps its Bocksteins reduced modulo the generator orders, and that
+    normal form is what validation reads and what is emitted."""
+    dold = library("Dold_5_2")
+    doc = json.loads(emit_model(dold))
+    d, r, c = _torsion_entry(dold.cohomology, 1)
+    doc["beta"][str(d)][r][c] = 3
+    m = parse_model(json.dumps(doc))
+    assert m.cohomology.beta[d][r, c] == 1
+    assert validate(m).violations == validate(dold).violations == []
+    text = emit_model(m)
+    assert text == emit_model(parse_model(text)) == emit_model(dold)
+
+
+def test_transform_model_leaves_the_bockstein_reduction_to_the_constructor():
+    """Integral maps that are the identity modulo the generator orders, with
+    entries past int64 on the torsion generators, carry the Bocksteins past
+    int64 in the torsion rows; the constructor reduces them, so the carried
+    model is the model itself."""
+    m = library("Dold_5_2").cohomology
+    eye = {d: np.eye(m.f2_dim(d), dtype=np.uint8) for d in range(10)}
+    z = {d: np.diag([1 + o * 2**70 for o in m.z_orders(d)]).astype(object) for d in range(10)}
+    assert max(abs(int(v)) for x in model_module._push(m, eye, eye, z, z)[1] for v in x.ravel()) > 2**63
+    assert transform_model(m, eye, eye, z, z).equals(m)
 
 
 def test_from_simplicial_rejects_non_manifold():
